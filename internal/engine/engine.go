@@ -169,20 +169,32 @@ func Default() *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Plan returns the compiled plan for o, compiling on a cache miss. Two
-// options values that differ only in variant fields share one cached plan.
+// options values that differ only in variant fields share one cached plan,
+// and concurrent misses on one key compile it once: the first caller
+// compiles, the others wait for its plan and count as hits. A waiter whose
+// owner's compile failed compiles for itself, because the failure may lie
+// in the owner's variant fields, which the key leaves out.
 func (e *Engine) Plan(o core.Options) (*Plan, error) {
 	k := keyOf(o)
-	if p := e.cache.get(k); p != nil {
-		e.hits.Add(1)
-		return p, nil
+	for {
+		ent, owner := e.cache.acquire(k)
+		if owner {
+			e.misses.Add(1)
+			return e.compile(ent, o)
+		}
+		<-ent.done
+		if ent.plan != nil {
+			e.hits.Add(1)
+			return ent.plan, nil
+		}
 	}
-	e.misses.Add(1)
-	p, err := Compile(o)
-	if err != nil {
-		return nil, err
-	}
-	e.cache.put(k, p)
-	return p, nil
+}
+
+// compile fills an owned cache entry. It settles the entry even when
+// Compile panics, so no waiter blocks forever.
+func (e *Engine) compile(ent *cacheEntry, o core.Options) (p *Plan, err error) {
+	defer func() { e.cache.settle(ent, p) }()
+	return Compile(o)
 }
 
 // Exec runs o through the plan cache: compile (or reuse) the plan, then

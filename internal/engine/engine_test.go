@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -243,6 +244,64 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if hits, _, _ := e.CacheStats(); hits != hitsBefore+1 {
 		t.Error("expected a hit for the most recently used plan")
+	}
+}
+
+// TestConcurrentMissesCompileOnce: callers racing on one uncached key
+// compile a single plan; the rest wait for it, count as hits, and share
+// the one immutable plan.
+func TestConcurrentMissesCompileOnce(t *testing.T) {
+	o := shapeGrid()[0]
+	e := New(1, 0)
+	const callers = 16
+	plans := make([]*Plan, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			plans[i], errs[i] = e.Plan(o)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if plans[i] != plans[0] {
+			t.Fatalf("caller %d got a second compiled plan", i)
+		}
+	}
+	if hits, misses, size := e.CacheStats(); misses != 1 || hits != callers-1 || size != 1 {
+		t.Fatalf("hits/misses/size = %d/%d/%d, want %d/1/1", hits, misses, size, callers-1)
+	}
+}
+
+// TestFailedCompileIsNotCached: a compile that fails on a variant field
+// leaves no entry behind, so a valid call on the same key compiles.
+func TestFailedCompileIsNotCached(t *testing.T) {
+	o := shapeGrid()[0]
+	bad := o
+	bad.Imbalance = 0.5 // variant-only: same key as o
+	if keyOf(bad) != keyOf(o) {
+		t.Fatal("imbalance leaked into the plan key")
+	}
+	e := New(1, 0)
+	if _, err := e.Plan(bad); err == nil {
+		t.Fatal("imbalance 0.5 compiled")
+	}
+	if _, _, size := e.CacheStats(); size != 0 {
+		t.Fatalf("failed compile left %d cache entries", size)
+	}
+	if _, err := e.Plan(o); err != nil {
+		t.Fatalf("valid options after a failed compile on the same key: %v", err)
+	}
+	if hits, misses, size := e.CacheStats(); hits != 0 || misses != 2 || size != 1 {
+		t.Fatalf("hits/misses/size = %d/%d/%d, want 0/2/1", hits, misses, size)
 	}
 }
 

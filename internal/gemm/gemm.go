@@ -9,6 +9,7 @@
 package gemm
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -81,7 +82,22 @@ func DefaultConfig(s Shape) Config {
 	return cfg
 }
 
-// Plan is a fully resolved tile schedule for one GEMM.
+// MaxTiles bounds the tile grid of every plan. NewPlan materializes two
+// Tiles-long arrays, so without a bound a ~100-byte plan definition off
+// the wire (or a /query shape whose odd dimensions force one-element
+// tiles) could demand more memory than any host has. The largest grid
+// the paper's figures build, M51200-N8192 in 128x128 tiles, has 25,600.
+const MaxTiles = 1 << 20
+
+// ErrTooManyTiles is wrapped by every rejection of a tile grid over
+// MaxTiles, so callers can classify an unplannable shape as a property of
+// the request rather than an internal failure.
+var ErrTooManyTiles = fmt.Errorf("gemm: tile grid exceeds %d tiles", MaxTiles)
+
+// Plan is a fully resolved tile schedule for one GEMM. Its JSON form is
+// its definition — Shape, Cfg and the tile grid — because Order and Pos
+// are derived from (Shape, Cfg) alone: UnmarshalJSON rebuilds them with
+// NewPlan instead of shipping 2×Tiles ints per plan.
 type Plan struct {
 	Shape Shape
 	Cfg   Config
@@ -90,23 +106,38 @@ type Plan struct {
 	// Order maps execution position -> row-major tile index: Order[p] is
 	// the p-th tile to be dispatched. With swizzling this is not the
 	// identity, which is exactly why the paper needs reordering (§3.3).
-	Order []int
+	Order []int `json:"-"`
 	// Pos is the inverse: Pos[tileIdx] = execution position.
-	Pos []int
+	Pos []int `json:"-"`
+}
+
+// CheckPlan reports the error NewPlan(s, cfg) would return, without
+// building the launch order: request validation can reject an
+// unplannable shape at no allocation cost.
+func CheckPlan(s Shape, cfg Config) error {
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if cfg.TileM <= 0 || cfg.TileN <= 0 {
+		return fmt.Errorf("gemm: invalid tile %dx%d", cfg.TileM, cfg.TileN)
+	}
+	if s.M%cfg.TileM != 0 || s.N%cfg.TileN != 0 {
+		return fmt.Errorf("gemm: tile %dx%d does not divide shape %v", cfg.TileM, cfg.TileN, s)
+	}
+	// Divide rather than multiply: rows*cols can overflow int.
+	if rows, cols := s.M/cfg.TileM, s.N/cfg.TileN; rows > MaxTiles/cols {
+		return fmt.Errorf("%w: %v in %dx%d tiles is a %dx%d grid", ErrTooManyTiles, s, cfg.TileM, cfg.TileN, rows, cols)
+	}
+	return nil
 }
 
 // NewPlan validates the config against the shape and computes the launch
 // order. Tile dimensions must divide the problem so that every tile (and
 // later every subtile) is full-size; DefaultConfig always satisfies this.
+// The grid may hold at most MaxTiles tiles.
 func NewPlan(s Shape, cfg Config) (*Plan, error) {
-	if err := s.Validate(); err != nil {
+	if err := CheckPlan(s, cfg); err != nil {
 		return nil, err
-	}
-	if cfg.TileM <= 0 || cfg.TileN <= 0 {
-		return nil, fmt.Errorf("gemm: invalid tile %dx%d", cfg.TileM, cfg.TileN)
-	}
-	if s.M%cfg.TileM != 0 || s.N%cfg.TileN != 0 {
-		return nil, fmt.Errorf("gemm: tile %dx%d does not divide shape %v", cfg.TileM, cfg.TileN, s)
 	}
 	p := &Plan{
 		Shape:    s,
@@ -121,6 +152,28 @@ func NewPlan(s Shape, cfg Config) (*Plan, error) {
 		p.Pos[idx] = pos
 	}
 	return p, nil
+}
+
+// UnmarshalJSON decodes a plan's definition and rebuilds the plan with
+// NewPlan, so a decoded plan is indistinguishable from an in-process one.
+// It rejects a definition NewPlan rejects (MaxTiles included) and a tile
+// grid that disagrees with the rebuilt one, and writes p only on success.
+func (p *Plan) UnmarshalJSON(data []byte) error {
+	type definition Plan // no methods: decoding it does not recurse
+	var d definition
+	if err := json.Unmarshal(data, &d); err != nil {
+		return err
+	}
+	q, err := NewPlan(d.Shape, d.Cfg)
+	if err != nil {
+		return err
+	}
+	if d.RowTiles != q.RowTiles || d.ColTiles != q.ColTiles || d.Tiles != q.Tiles {
+		return fmt.Errorf("gemm: plan grid %dx%d (%d tiles) disagrees with %v in %dx%d tiles (%dx%d, %d tiles)",
+			d.RowTiles, d.ColTiles, d.Tiles, d.Shape, d.Cfg.TileM, d.Cfg.TileN, q.RowTiles, q.ColTiles, q.Tiles)
+	}
+	*p = *q
+	return nil
 }
 
 // swizzleOrder computes the launch order of tiles. Without swizzling

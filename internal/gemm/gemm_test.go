@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +63,19 @@ func TestNewPlanValidation(t *testing.T) {
 	}
 	if _, err := NewPlan(Shape{4, 4, 4}, Config{TileM: 0, TileN: 2}); err == nil {
 		t.Error("zero tile accepted")
+	}
+	// The tile bound: exactly MaxTiles plans; one more row, or a grid
+	// whose tile count overflows int, is rejected by NewPlan and CheckPlan.
+	if _, err := NewPlan(Shape{1024, 1024, 1}, Config{TileM: 1, TileN: 1}); err != nil {
+		t.Errorf("a grid of exactly MaxTiles tiles rejected: %v", err)
+	}
+	for _, s := range []Shape{{1025, 1024, 1}, {1 << 30, 1 << 30, 1}, {1 << 62, 1 << 62, 1}} {
+		if _, err := NewPlan(s, Config{TileM: 1, TileN: 1}); !errors.Is(err, ErrTooManyTiles) {
+			t.Errorf("%v in 1x1 tiles: error %v, want ErrTooManyTiles", s, err)
+		}
+		if err := CheckPlan(s, Config{TileM: 1, TileN: 1}); !errors.Is(err, ErrTooManyTiles) {
+			t.Errorf("CheckPlan(%v): error %v, want ErrTooManyTiles", s, err)
+		}
 	}
 }
 

@@ -28,9 +28,9 @@ type QueryResponse struct {
 
 // ContentTypeNDJSON is the media type of a v2 /sweep frame stream:
 // newline-delimited JSON, one SweepFrame per line. A client requests it via
-// the Accept header (or the request body's stream field); servers that
-// predate v2 ignore both and reply with the buffered v1 SweepResponse, so
-// negotiation degrades by content type, never by error.
+// the Accept header (or the request body's stream field). Every server in
+// this repository answers that negotiation with v2, so shard.HTTPClient
+// reads a 200 reply to it as a frame stream.
 const ContentTypeNDJSON = "application/x-ndjson"
 
 // SweepFrame kinds. A v2 stream is any number of result frames followed by

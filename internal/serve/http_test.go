@@ -92,6 +92,22 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s: deterministic rejection marked retryable", url)
 		}
 	}
+
+	// A well-formed shape whose tile grid is over gemm.MaxTiles parses but
+	// can never be planned: 422, not a recovered allocation panic (500)
+	// that a router would retry on every replica.
+	resp, err := http.Get(srv.URL + "/query?m=1073741824&n=1073741824&k=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("unplannable shape: non-JSON error body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Retryable {
+		t.Fatalf("unplannable shape: status %d retryable %v, want 422 and not retryable", resp.StatusCode, env.Error.Retryable)
+	}
 }
 
 // Error classification over HTTP: a deterministic rejection of the request
@@ -136,6 +152,13 @@ func TestQueryErrorClassification(t *testing.T) {
 	}
 	if _, err := s.Query(context.Background(), Query{Shape: gemm.Shape{M: 2048, N: 8192, K: 4096}, Prim: hw.AllGather}); !IsBadQuery(err) {
 		t.Fatalf("unsupported primitive not classified as bad query: %v", err)
+	}
+	huge := gemm.Shape{M: 1 << 30, N: 1 << 30, K: 1}
+	if _, err := s.Query(context.Background(), Query{Shape: huge, Prim: hw.AllReduce}); !IsBadQuery(err) || !errors.Is(err, gemm.ErrTooManyTiles) {
+		t.Fatalf("shape over gemm.MaxTiles not classified as bad query: %v", err)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.Tunes != 0 {
+		t.Fatalf("unplannable shape reached the tuner: %d misses, %d tunes", st.Misses, st.Tunes)
 	}
 	s.tuneHook = func() error { return errors.New("boom") }
 	_, err := s.Query(context.Background(), Query{Shape: gemm.Shape{M: 2048, N: 8192, K: 4096}, Prim: hw.AllReduce})
@@ -288,6 +311,24 @@ func TestHandlerSweepErrors(t *testing.T) {
 	}
 	if env.Error.Retryable {
 		t.Fatal("deterministic item rejection marked retryable")
+	}
+
+	// So is an item too large to plan, on both the buffered and the
+	// streamed reply.
+	resp = postSweep(t, srv.URL, SweepRequest{Items: []SweepItem{
+		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
+		{M: 1 << 30, N: 1 << 30, K: 1, Prim: "AR"},
+	}})
+	env = ErrorEnvelope{}
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || env.Error.Retryable {
+		t.Fatalf("unplannable item: status %d retryable %v, want 422 and not retryable", resp.StatusCode, env.Error.Retryable)
+	}
+	if env.Error.Index == nil || *env.Error.Index != 1 {
+		t.Fatalf("unplannable item index = %v, want 1", env.Error.Index)
 	}
 
 	// An internal failure is 5xx, still attributed to its item.

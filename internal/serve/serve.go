@@ -79,10 +79,11 @@ const (
 )
 
 // BadQueryError marks a deterministic rejection of the query itself — an
-// invalid shape, a malformed imbalance factor, an unsupported primitive.
-// Every identically configured replica rejects such a query the same way, so
-// the HTTP layer maps it to a 4xx status and the shard router does not burn
-// failover retries on it. Internal failures (tuner search, engine execution)
+// invalid shape or one too large to plan (gemm.ErrTooManyTiles), a
+// malformed imbalance factor, an unsupported primitive. Every identically
+// configured replica rejects such a query the same way, so the HTTP layer
+// maps it to a 4xx status and the shard router does not burn failover
+// retries on it. Internal failures (tuner search, engine execution)
 // are returned unwrapped and map to 5xx, which the router treats as
 // retryable — a replica mid-deploy or out of memory is not evidence the
 // query is bad.
@@ -472,6 +473,11 @@ func flightKey(q Query) string {
 func validateQuery(q Query) error {
 	if q.Shape.M <= 0 || q.Shape.N <= 0 || q.Shape.K <= 0 {
 		return badQueryf("serve: invalid shape %v", q.Shape)
+	}
+	// A shape whose tile grid is over gemm.MaxTiles can never be planned,
+	// on this replica or any other.
+	if err := gemm.CheckPlan(q.Shape, gemm.DefaultConfig(q.Shape)); err != nil {
+		return &BadQueryError{Err: err}
 	}
 	// 0 means balanced; otherwise require a finite factor >= 1. The NaN
 	// check matters: a NaN key would never match itself in the shape

@@ -149,23 +149,16 @@ func ParseReplicas(raw string) ([]string, error) {
 }
 
 // decodeWireError parses a non-200 reply body: the unified error envelope
-// {"error": {"message", "retryable", ...}}, with a fallback for the legacy
-// bare-string form {"error": "..."} older replicas wrote. Garbage bodies
-// yield a zero ErrorBody; callers default the message to the HTTP status.
+// {"error": {"message", "retryable", ...}} every replica and router in this
+// repository writes. Any other body — garbage, or the pre-envelope
+// {"error": "..."} string — yields a zero ErrorBody; callers default the
+// message to the HTTP status, and the status class still classifies.
 func decodeWireError(r io.Reader) serve.ErrorBody {
-	var raw struct {
-		Error json.RawMessage `json:"error"`
+	var env serve.ErrorEnvelope
+	if err := json.NewDecoder(r).Decode(&env); err != nil {
+		return serve.ErrorBody{}
 	}
-	_ = json.NewDecoder(r).Decode(&raw)
-	var body serve.ErrorBody
-	if len(raw.Error) > 0 {
-		if raw.Error[0] == '"' {
-			_ = json.Unmarshal(raw.Error, &body.Message)
-		} else {
-			_ = json.Unmarshal(raw.Error, &body)
-		}
-	}
-	return body
+	return env.Error
 }
 
 func (c *HTTPClient) get(ctx context.Context, path string, out any) error {
@@ -226,10 +219,10 @@ func (c *HTTPClient) Query(ctx context.Context, q serve.Query) (serve.Answer, er
 // Sweep posts one sweep chunk to the replica's /sweep endpoint, negotiating
 // the v2 NDJSON stream (Accept: application/x-ndjson) and feeding each
 // result frame into sink as it arrives — the replica's completed items
-// reach the coordinator even when the replica dies mid-chunk. A v1 replica
-// that answers with a buffered JSON reply is detected by Content-Type and
-// fed through the same sink, so the client speaks to either generation.
-// Failures carrying a chunk-local item index are rebuilt as
+// reach the coordinator even when the replica dies mid-chunk. Every replica
+// and router in this repository answers that negotiation with v2, so a 200
+// reply is always read as a frame stream; a buffered v1 body fails as an
+// unknown frame. Failures carrying a chunk-local item index are rebuilt as
 // *serve.ChunkError, so coordinators attribute remote failures exactly like
 // local ones.
 func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
@@ -277,21 +270,7 @@ func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink ser
 		}
 		return cause
 	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), serve.ContentTypeNDJSON) {
-		return c.sweepFrames(resp.Body, sink)
-	}
-	// A v1 replica ignored the Accept header and buffered: decode the
-	// whole reply, then feed it through the sink in order.
-	var sr serve.SweepResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return fmt.Errorf("shard: %s/sweep: decoding reply: %w", c.Base, err)
-	}
-	for i, r := range sr.Results {
-		if err := sink(i, r); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.sweepFrames(resp.Body, sink)
 }
 
 // sweepFrames consumes a v2 NDJSON sweep stream: result frames feed the

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gemm"
@@ -177,6 +179,39 @@ func TestRouterDoesNotFailOverBadQueries(t *testing.T) {
 		if st := svc.Stats(); st.Tunes != 0 {
 			t.Fatalf("replica %d tuned %d times for a rejected query", k, st.Tunes)
 		}
+	}
+}
+
+// A shape too large to plan is a query-level rejection too: the owner
+// answers 422 and the router stops there instead of walking the ring.
+func TestRouterRejectsUnplannableShapeAtOwner(t *testing.T) {
+	_, servers, _ := testFleet(t, 2)
+	var calls [2]atomic.Int64
+	clients := make([]Client, len(servers))
+	for k, srv := range servers {
+		hc := &HTTPClient{Base: srv.URL}
+		clients[k] = &stubClient{query: func(q serve.Query) (serve.Answer, error) {
+			calls[k].Add(1)
+			return hc.Query(context.Background(), q)
+		}}
+	}
+	r, err := NewRouter(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := gemm.Shape{M: 1 << 30, N: 1 << 30, K: 1}
+	_, err = r.Query(context.Background(), serve.Query{Shape: shape, Prim: hw.AllReduce})
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Status != http.StatusUnprocessableEntity {
+		t.Fatalf("unplannable shape: %v, want a 422 QueryError", err)
+	}
+	owner := r.Owner(shape)
+	if calls[owner].Load() != 1 || calls[1-owner].Load() != 0 {
+		t.Fatalf("replica calls = %d (owner %d), %d (other), want 1 and 0",
+			calls[owner].Load(), owner, calls[1-owner].Load())
+	}
+	if f := r.Stats(context.Background()).Failovers; f != 0 {
+		t.Fatalf("failovers = %d, want 0", f)
 	}
 }
 
