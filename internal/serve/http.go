@@ -41,8 +41,10 @@ const (
 	FrameError  = "error"
 )
 
-// SweepFrame is one NDJSON line of a v2 /sweep stream.
-type SweepFrame struct {
+// Frame is one NDJSON line of a v2 /sweep stream, generic over the result
+// type so the router's attributed results ride the same grammar as a
+// replica's: SweepStream writes both.
+type Frame[R any] struct {
 	// Frame discriminates the line: FrameResult, FrameDone, or FrameError.
 	Frame string `json:"frame"`
 	// Index is a result frame's item index into the posted grid. (With
@@ -50,8 +52,8 @@ type SweepFrame struct {
 	Index int `json:"index,omitempty"`
 	// Fidelity mirrors Result.Fidelity on result frames, so stream
 	// consumers can split tiers without opening the result object.
-	Fidelity string       `json:"fidelity,omitempty"`
-	Result   *SweepResult `json:"result,omitempty"`
+	Fidelity string `json:"fidelity,omitempty"`
+	Result   *R     `json:"result,omitempty"`
 	// Count is a done frame's total number of result frames streamed.
 	Count int `json:"count,omitempty"`
 	// Salvaged is an error frame's count of result frames streamed before
@@ -62,6 +64,10 @@ type SweepFrame struct {
 	// non-streaming endpoints wrap under {"error": ...}.
 	Error *ErrorBody `json:"error,omitempty"`
 }
+
+// SweepFrame is a replica's frame. Decoding a router's stream into it drops
+// the routing attribution and keeps everything else.
+type SweepFrame = Frame[SweepResult]
 
 // ErrorBody is the one error schema every endpoint speaks — /query, /sweep,
 // /stats, /healthz, the router's proxied forms, and v2 error frames —
@@ -132,12 +138,10 @@ func StreamRequested(r *http.Request, req SweepRequest) bool {
 // POST /sweep speaks two protocol versions. v1 (the default) buffers the
 // whole chunk and replies a JSON SweepResponse; failures carry the failing
 // item's chunk-local index plus the completed prefix under the envelope's
-// "index"/"results", so a coordinator re-dispatches only the unanswered
-// suffix. v2 — negotiated via "Accept: application/x-ndjson" or the
-// request's "stream" field — replies an NDJSON stream of SweepFrame lines:
-// one result frame per item as it completes, then a terminal done frame (or
-// an error frame carrying the envelope body plus the salvaged count), so
-// neither side ever materializes a whole grid.
+// "index"/"results", for direct clients. v2 — negotiated via "Accept:
+// application/x-ndjson" or the request's "stream" field, as every
+// coordinator does — replies an NDJSON stream of SweepFrame lines (see
+// SweepStream), so neither side ever materializes a whole grid.
 //
 // /healthz is the liveness probe behind dead-replica re-admission: a 200
 // means the process is up and serving. The handler is safe for concurrent
@@ -192,7 +196,8 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 		defer cancel()
 		ans, err := s.Query(ctx, q)
 		if err != nil {
-			WriteError(w, errStatus(err), err)
+			status, body := errorReply(err)
+			WriteErrorBody(w, status, body)
 			return
 		}
 		writeJSON(w, QueryResponse{
@@ -223,25 +228,17 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 		ctx, cancel := reqCtx(r)
 		defer cancel()
 		if StreamRequested(r, req) {
-			streamSweep(ctx, w, s, req)
+			st := NewSweepStream[SweepResult](w)
+			st.End(s.SweepChunk(ctx, req, st.Result), errorReply)
 			return
 		}
 		results, err := s.CollectSweep(ctx, req)
 		if err != nil {
-			// Serialize the cause and the chunk-local index separately;
-			// the coordinator's client rebuilds the ChunkError from them.
-			// The completed prefix (partial-chunk completion) rides along
-			// so the coordinator can keep it and re-dispatch only the
-			// unanswered suffix.
-			body := ErrorBody{Results: results}
-			var ce *ChunkError
-			if errors.As(err, &ce) {
-				idx := ce.Index
-				body.Index, err = &idx, ce.Err
-			}
-			status := errStatus(err)
-			body.Message = err.Error()
-			body.Retryable = status >= 500
+			// The completed prefix rides along for direct v1 clients
+			// (partial-chunk salvage); coordinators negotiate v2 and
+			// receive it as result frames instead.
+			status, body := errorReply(err)
+			body.Results = results
 			WriteErrorBody(w, status, body)
 			return
 		}
@@ -258,57 +255,78 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 	return mux
 }
 
-// streamSweep answers a v2-negotiated /sweep: result frames as items
-// complete, then the terminal frame. The status line is committed before
-// execution starts, so failures surface as error frames, not statuses —
-// the frame's Retryable bit carries the classification a buffered reply
-// would encode in the status class.
-func streamSweep(ctx context.Context, w http.ResponseWriter, s *Service, req SweepRequest) {
-	w.Header().Set("Content-Type", ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	count := 0
-	err := s.SweepChunk(ctx, req, func(i int, res SweepResult) error {
-		if err := enc.Encode(SweepFrame{Frame: FrameResult, Index: i, Fidelity: res.Fidelity, Result: &res}); err != nil {
-			return err
-		}
-		if flusher != nil {
-			// Per-frame flush is the bounded-memory contract: a frame
-			// buffered server-side is a frame the coordinator cannot
-			// release yet.
-			flusher.Flush()
-		}
-		count++
-		return nil
-	})
-	if err != nil {
-		// A sink (write) failure means the client is gone — encoding the
-		// terminal frame then fails identically and harmlessly.
-		body := ErrorBody{Retryable: errStatus(err) >= 500}
-		var ce *ChunkError
-		if errors.As(err, &ce) {
-			idx := ce.Index
-			body.Index, err = &idx, ce.Err
-		}
-		body.Message = err.Error()
-		_ = enc.Encode(SweepFrame{Frame: FrameError, Salvaged: count, Error: &body})
-		return
-	}
-	_ = enc.Encode(SweepFrame{Frame: FrameDone, Count: count})
+// frameResult is the result type a v2 stream carries: SweepResult, or a
+// type embedding it (the router's attributed result).
+type frameResult interface{ frameFidelity() string }
+
+func (r SweepResult) frameFidelity() string { return r.Fidelity }
+
+// SweepStream writes one v2 /sweep reply, for a replica and for the router
+// alike: a result frame per result as it arrives, then one terminal frame.
+// The 200 is committed before the sweep runs, so a failure's classification
+// travels in the error frame's retryable bit, not in a status class.
+type SweepStream[R frameResult] struct {
+	enc     *json.Encoder
+	flusher http.Flusher
+	count   int
 }
 
-// errStatus maps a Service error to its HTTP status: deterministic request
-// rejections are 422 (non-retryable — failing over would repeat the
-// rejection), internal failures 500 (retryable — another replica may be
-// healthy). Before this split every Service error reported 422, so the
-// shard router classified transient engine/tuner failures as non-retryable
-// QueryErrors and never failed over.
-func errStatus(err error) int {
-	if IsBadQuery(err) {
-		return http.StatusUnprocessableEntity
+// NewSweepStream commits the reply's 200 and NDJSON content type.
+func NewSweepStream[R frameResult](w http.ResponseWriter) *SweepStream[R] {
+	w.Header().Set("Content-Type", ContentTypeNDJSON)
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	return &SweepStream[R]{enc: json.NewEncoder(w), flusher: flusher}
+}
+
+// Result writes and flushes one result frame: the sweep's sink.
+func (st *SweepStream[R]) Result(i int, res R) error {
+	if err := st.enc.Encode(Frame[R]{Frame: FrameResult, Index: i, Fidelity: res.frameFidelity(), Result: &res}); err != nil {
+		return err
 	}
-	return http.StatusInternalServerError
+	if st.flusher != nil {
+		// Per-frame flush is the bounded-memory contract: a frame
+		// buffered server-side is a frame the consumer cannot release
+		// yet.
+		st.flusher.Flush()
+	}
+	st.count++
+	return nil
+}
+
+// End writes the terminal frame for the sweep's outcome: done with the
+// result count, or an error frame with the salvaged count and the body
+// reply maps err to. It is not flushed: it leaves with the end of the
+// reply, so a client reads both at once and can reuse its connection.
+func (st *SweepStream[R]) End(err error, reply func(error) (int, ErrorBody)) {
+	if err == nil {
+		_ = st.enc.Encode(Frame[R]{Frame: FrameDone, Count: st.count})
+		return
+	}
+	// A sink (write) failure means the client is gone — encoding the
+	// terminal frame then fails identically and harmlessly.
+	_, body := reply(err)
+	_ = st.enc.Encode(Frame[R]{Frame: FrameError, Salvaged: st.count, Error: &body})
+}
+
+// errorReply maps a Service error to its HTTP status and envelope body. A
+// *ChunkError contributes its item index and is unwrapped to its cause. A
+// deterministic request rejection is 422 and not retryable (failing over
+// would repeat it); an internal failure is 500 and retryable (another
+// replica may be healthy).
+func errorReply(err error) (int, ErrorBody) {
+	var body ErrorBody
+	var ce *ChunkError
+	if errors.As(err, &ce) {
+		idx := ce.Index
+		body.Index, err = &idx, ce.Err
+	}
+	status := http.StatusInternalServerError
+	if IsBadQuery(err) {
+		status = http.StatusUnprocessableEntity
+	}
+	body.Message, body.Retryable = err.Error(), status >= 500
+	return status, body
 }
 
 // ParseQuery decodes a /query request's parameters. It is exported so the

@@ -406,18 +406,23 @@ func translateChunkError(err error, remainIdx []int) error {
 	return translated
 }
 
-// dispatch sends one chunk, walking the failover ring from the dispatch
-// origin until every item is answered or the attempt budget is spent.
-// replicas[j] names the replica that answered results[j] — more than one
-// after a partial-chunk completion, where the items a failing replica
-// streamed back before dying are kept and only the unanswered rest is
-// re-dispatched. Replicas the health plane marks dead are skipped without
-// paying a timeout; a failed attempt marks its replica dead for every later
-// chunk and query. Deterministic rejections (non-retryable QueryErrors)
-// return immediately. The error after an exhausted budget is the earliest
-// failure still naming an unanswered item — the most diagnostic one — with
-// the budget noted.
+// dispatch sends one chunk from its dispatch origin in repeated ring passes
+// (see Router.pass) until every item is answered or the attempt budget is
+// spent. What it adds to the pass is sweep-specific:
+//   - partial-chunk salvage: the items a failing replica streamed back are
+//     kept and only the unanswered rest is re-dispatched, so replicas[j],
+//     the replica that answered results[j], may differ across the chunk;
+//   - a malformed reply (an index out of range or twice, or a clean end
+//     short of the chunk) stops the chunk at once with a bare error, and
+//     its replica, which answered, stays healthy;
+//   - a pass that admitted nobody waits instead of failing while another
+//     caller's trial is in flight, or, with a budget beyond the fleet size,
+//     until a cooldown elapses;
+//   - the error after an exhausted budget is the earliest failure still
+//     naming an unanswered item — the most diagnostic one — with the
+//     budget noted.
 func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.SweepItem) ([]serve.SweepResult, []int, error) {
+	h := c.router.health
 	n := len(c.router.clients)
 	budget := c.attempts()
 	results := make([]serve.SweepResult, len(items))
@@ -429,71 +434,15 @@ func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.Sw
 		remainIdx[i] = i
 	}
 	var credits []salvageCredit
-	var firstErr error
+	var firstErr, malformed error
 	firstErrAt := -1  // firstErr's chunk-local item index; -1 = chunk-level
 	firstErrSeen := 0 // answered count when firstErr was recorded
-	attempts, pos, skipped := 0, 0, 0
-	for attempts < budget {
-		// A cancelled sweep stops walking the ring: no new attempt, no
-		// cooldown wait, no health-plane mutation.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		replica := (origin + pos) % n
-		pos++
-		if !c.router.health.Allow(replica) {
-			// Known dead within its cooldown: skip without burning a
-			// timeout or an attempt.
-			skipped++
-			if skipped < n {
-				continue
-			}
-			// A full ring of skips: no replica is admissible right now.
-			// The default budget (<= one try per replica) fails fast,
-			// as a dead fleet should — but not while another
-			// goroutine's trial is in flight: that trial may re-admit
-			// a replica this chunk can use milliseconds from now, and
-			// a fleet that is genuinely dead has no suspects once its
-			// trials resolve.
-			if budget <= n {
-				if !c.router.health.anySuspect() {
-					break
-				}
-				// Wait for the in-flight trial to resolve, polling with
-				// non-counting peeks (like the budget>n branch below)
-				// so the wait neither claims slots nor inflates the
-				// avoided-attempt counter.
-				for c.router.health.anySuspect() && !c.router.health.anyDue() {
-					if err := sleepCtx(ctx, healthWaitStep(c.router.health.Cooldown())); err != nil {
-						return nil, nil, err
-					}
-				}
-				skipped = 0
-				continue
-			}
-			// A larger budget is the operator opting into wrap-around
-			// retries, and those wait out the cooldown — a trial slot
-			// opens once per replica per window, and the prober may
-			// re-admit a restarted replica sooner — instead of
-			// aborting with budget unspent. Poll with a non-counting
-			// peek: waiting must neither claim trial slots it may not
-			// use nor inflate the avoided-attempt counter.
-			for !c.router.health.anyDue() {
-				if err := sleepCtx(ctx, healthWaitStep(c.router.health.Cooldown())); err != nil {
-					return nil, nil, err
-				}
-			}
-			skipped = 0
-			continue
-		}
-		skipped = 0
-		attempts++
+	hop := func(replica int) error {
 		sub := make([]serve.SweepItem, len(remainIdx))
 		for j, li := range remainIdx {
 			sub[j] = items[li]
 		}
 		got := 0
-		var malformed error
 		err := c.router.clients[replica].Sweep(ctx, c.request(sub), func(j int, res serve.SweepResult) error {
 			if j < 0 || j >= len(remainIdx) {
 				malformed = fmt.Errorf("shard: replica %d answered item %d of a %d-item chunk", replica, j, len(sub))
@@ -511,18 +460,15 @@ func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.Sw
 			got++
 			return nil
 		})
+		if malformed == nil && err == nil && got != len(sub) {
+			malformed = fmt.Errorf("shard: replica %d answered %d of %d chunk items", replica, got, len(sub))
+		}
 		if malformed != nil {
-			// Malformed but answered: resolve the trial so the replica is
-			// not parked in suspect with no probe in flight.
-			c.router.health.MarkHealthy(replica)
-			return nil, nil, malformed
+			// A *QueryError ends the pass with the replica marked healthy;
+			// dispatch returns the bare error.
+			return &QueryError{Err: malformed}
 		}
 		if err == nil {
-			if got != len(sub) {
-				c.router.health.MarkHealthy(replica)
-				return nil, nil, fmt.Errorf("shard: replica %d answered %d of %d chunk items", replica, got, len(sub))
-			}
-			c.router.health.MarkHealthy(replica)
 			// Credit the counters only now that the chunk is whole: a
 			// salvage a failed dispatch would have discarded must not
 			// inflate PartialSalvages or the per-replica item counters.
@@ -531,44 +477,13 @@ func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.Sw
 				c.router.routedSweepItems[cr.replica].Add(uint64(cr.items))
 				c.salvaged.Add(uint64(cr.items))
 			}
-			return results, replicas, nil
+			return nil
 		}
 		err = translateChunkError(err, remainIdx)
-		// Our own cancellation surfaces as a transport failure from the
-		// replica's point of view (request body closed mid-stream). Return
-		// it without touching the health plane: the replica is fine; the
-		// caller gave up. Benching here would black out a healthy replica
-		// for a full cooldown after every client-side deadline.
-		if ctx.Err() != nil {
-			return nil, nil, err
-		}
-		if !retryable(err) {
-			// A deterministic rejection is still an answer: the replica
-			// is provably alive, so a suspect trial resolves healthy
-			// instead of leaving the replica benched.
-			c.router.health.MarkHealthy(replica)
-			return nil, nil, err
-		}
-		// Bench only on transport-level failures (connection refused,
-		// timeout, truncated stream): those are the ones whose retry
-		// would cost a timeout. An answered error — structured 5xx or
-		// item-attributed ChunkError — is a live replica responding
-		// quickly, and it resolves any in-flight trial; benching on it
-		// would let a poison item that 5xxes identically everywhere
-		// walk the ring marking the whole fleet dead and black out
-		// unrelated /query traffic for a cooldown.
-		if replicaAnswered(err) {
-			c.router.health.MarkHealthy(replica)
-		} else {
-			c.router.health.MarkFailed(replica)
-		}
 		if got > 0 {
-			// Partial-chunk completion: the items the replica streamed
-			// back before failing are final (deterministic on any
-			// replica); keep them and re-dispatch only the unanswered
-			// rest. Streaming generalizes the old prefix-only salvage:
-			// whatever arrived counts, however the failure ended the
-			// stream.
+			// The items the replica streamed back before failing are final
+			// (deterministic on any replica): keep them, however the
+			// failure ended the stream.
 			credits = append(credits, salvageCredit{replica: replica, items: got})
 			rest := make([]int, 0, len(remainIdx)-got)
 			for _, li := range remainIdx {
@@ -597,6 +512,39 @@ func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.Sw
 			var fce *serve.ChunkError
 			if errors.As(err, &fce) {
 				firstErrAt = fce.Index
+			}
+		}
+		return err
+	}
+	attempts := 0
+	for attempts < budget {
+		replica, tried, err := c.router.pass(ctx, origin, budget-attempts, hop)
+		attempts += tried
+		switch {
+		case malformed != nil:
+			return nil, nil, malformed
+		case err != nil:
+			return nil, nil, err
+		case replica >= 0:
+			return results, replicas, nil
+		case tried > 0:
+			continue
+		}
+		// A pass that admitted nobody. The default budget (at most one try
+		// per replica) fails fast, as a dead fleet should — unless another
+		// caller's trial is in flight: it may re-admit a replica this chunk
+		// can use milliseconds from now, and a genuinely dead fleet has no
+		// suspects once its trials resolve. A larger budget is the operator
+		// opting into wrap-around retries, which wait out the cooldown (the
+		// prober may re-admit a restarted replica sooner). Both waits poll
+		// non-counting peeks, so waiting neither claims trial slots it may
+		// not use nor inflates the avoided-attempt counter.
+		if budget <= n && !h.anySuspect() {
+			break
+		}
+		for (budget > n || h.anySuspect()) && !h.anyDue() {
+			if err := sleepCtx(ctx, healthWaitStep(h.Cooldown())); err != nil {
+				return nil, nil, err
 			}
 		}
 	}

@@ -729,4 +729,33 @@ func TestRouterHandlerProxiesSweep(t *testing.T) {
 	} else if want := fmt.Sprintf("sweep item %d:", bad); !strings.Contains(err.Error(), want) {
 		t.Fatalf("proxied error %q does not name %q", err, want)
 	}
+
+	// The router's own failure envelope: a plain (v1) POST answers 422
+	// with the bad item's index and retryable false, and a v2 POST ends in
+	// an error frame carrying the same index and flag.
+	badBody, err := json.Marshal(serve.SweepRequest{Items: badItems})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badResp, err := http.Post(front.URL+"/sweep", "application/json", bytes.NewReader(badBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer badResp.Body.Close()
+	if badResp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("v1 bad-item status = %d, want 422", badResp.StatusCode)
+	}
+	var env serve.ErrorEnvelope
+	if err := json.NewDecoder(badResp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error.Index == nil || *env.Error.Index != bad || env.Error.Retryable {
+		t.Fatalf("v1 envelope %+v, want index %d and retryable false", env.Error, bad)
+	}
+	frames := postStream(t, front.URL, true, serve.SweepRequest{Items: badItems})
+	last := frames[len(frames)-1]
+	if last.Frame != serve.FrameError || last.Error == nil || last.Error.Index == nil ||
+		*last.Error.Index != bad || last.Error.Retryable {
+		t.Fatalf("v2 terminal frame %+v, want an error frame with index %d and retryable false", last, bad)
+	}
 }

@@ -236,6 +236,145 @@ func TestRouterQuerySkipsKnownDeadReplica(t *testing.T) {
 	}
 }
 
+// A routed query never waits: with every replica benched inside a long
+// cooldown — one of them suspect because another caller holds its trial —
+// the query fails at once with the benched-fleet error and calls no
+// client. (A sweep chunk waits for that trial instead.)
+func TestRouterQueryFailsFastWhenFleetIsBenched(t *testing.T) {
+	var calls atomic.Int64
+	counting := func() *stubClient {
+		return &stubClient{query: func(serve.Query) (serve.Answer, error) {
+			calls.Add(1)
+			return serve.Answer{}, nil
+		}}
+	}
+	r, err := NewRouter([]Client{counting(), counting()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.Health()
+	h.SetCooldown(time.Hour)
+	now := time.Unix(1000, 0)
+	h.now = func() time.Time { return now }
+	h.MarkFailed(0)
+	now = now.Add(time.Hour)
+	if !h.Allow(0) { // another caller claims replica 0's trial
+		t.Fatal("cooled-down replica not granted a trial")
+	}
+	h.MarkFailed(1)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, err = r.Query(ctx, serve.Query{Shape: quickGridShapes()[0], Prim: hw.AllReduce})
+	if err == nil || !strings.Contains(err.Error(), "marked dead") {
+		t.Fatalf("query over a benched fleet = %v, want the marked-dead error at once", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("benched replicas called %d times", n)
+	}
+	if h.State(0) != Suspect || h.State(1) != Dead {
+		t.Fatalf("states %v, want [suspect dead] untouched", h.States())
+	}
+}
+
+// streamStub is a Client whose Sweep hook drives the sink directly, for
+// replies no real replica sends.
+type streamStub struct {
+	stubClient
+	stream func(req serve.SweepRequest, sink serve.SweepSink) error
+}
+
+func (c *streamStub) Sweep(_ context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
+	return c.stream(req, sink)
+}
+
+// A malformed reply — an index past the chunk, an index twice, or a clean
+// end short of the chunk — stops the chunk's dispatch at once: the replica
+// answered, so it stays healthy and the chunk is not retried elsewhere; the
+// sweep fails at the chunk's first item naming the replica, and nothing of
+// that chunk is emitted.
+func TestDispatchStopsOnMalformedReply(t *testing.T) {
+	part := NewPartitioner(2)
+	var shape serve.SweepItem
+	for _, s := range quickGridShapes() {
+		if part.Owner(s) == 0 {
+			shape = serve.SweepItem{M: s.M, N: s.N, K: s.K, Prim: "AR"}
+			break
+		}
+	}
+	if shape.M == 0 {
+		t.Fatal("shard 0 owns no quick-grid shapes")
+	}
+	items := []serve.SweepItem{shape, shape, shape, shape} // chunks {0,1} and {2,3}
+	for _, tc := range []struct {
+		name  string
+		reply func(n int, sink serve.SweepSink) error
+	}{
+		{"index past the chunk", func(n int, sink serve.SweepSink) error {
+			if err := sink(0, serve.SweepResult{}); err != nil {
+				return err
+			}
+			return sink(n, serve.SweepResult{})
+		}},
+		{"index twice", func(n int, sink serve.SweepSink) error {
+			if err := sink(0, serve.SweepResult{}); err != nil {
+				return err
+			}
+			return sink(0, serve.SweepResult{})
+		}},
+		{"short clean end", func(n int, sink serve.SweepSink) error {
+			return sink(0, serve.SweepResult{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chunks := 0
+			owner := &streamStub{stream: func(req serve.SweepRequest, sink serve.SweepSink) error {
+				chunks++
+				if chunks == 1 { // the first chunk is answered whole
+					for j := range req.Items {
+						if err := sink(j, serve.SweepResult{}); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				return tc.reply(len(req.Items), sink)
+			}}
+			var otherCalls atomic.Int64
+			other := &stubClient{sweep: func(serve.SweepRequest) ([]serve.SweepResult, error) {
+				otherCalls.Add(1)
+				return nil, errors.New("stub: must not be called")
+			}}
+			r, err := NewRouter([]Client{owner, other})
+			if err != nil {
+				t.Fatal(err)
+			}
+			co := NewCoordinator(r)
+			co.Spec.Chunk = 2
+			var emitted []int
+			err = co.Stream(context.Background(), items, func(i int, _ SweepResult) error {
+				emitted = append(emitted, i)
+				return nil
+			})
+			if err == nil {
+				t.Fatal("malformed reply accepted")
+			}
+			if !strings.Contains(err.Error(), "sweep item 2:") || !strings.Contains(err.Error(), "replica 0") {
+				t.Fatalf("error %q does not name sweep item 2 and replica 0", err)
+			}
+			if got := r.Health().State(0); got != Healthy {
+				t.Fatalf("malformed replica = %v, want healthy (it answered)", got)
+			}
+			if n := otherCalls.Load(); n != 0 {
+				t.Fatalf("other replica called %d times; a malformed reply must not fail over", n)
+			}
+			if len(emitted) != 2 || emitted[0] != 0 || emitted[1] != 1 {
+				t.Fatalf("emitted %v, want only the first chunk [0 1]", emitted)
+			}
+		})
+	}
+}
+
 // Probe re-admission respects the cooldown: a zombie replica whose
 // /healthz answers while its work path keeps failing must not oscillate
 // dead -> healthy faster than once per window — that would burn one
@@ -607,39 +746,67 @@ func TestExhaustedBudgetNamesUnansweredItemAfterSalvage(t *testing.T) {
 	}
 }
 
-// The wire form of partial-chunk completion: a non-OK /sweep reply carrying
-// the completed prefix under "results" must surface both the rebuilt
-// *serve.ChunkError and the salvage.
-func TestHTTPClientSweepRebuildsPartialResults(t *testing.T) {
-	prefix := []serve.SweepResult{
-		{Shape: "2048x8192x4096", Primitive: "AllReduce"},
-		{Shape: "4096x8192x4096", Primitive: "AllReduce"},
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		idx := 2
-		serve.WriteErrorBody(w, http.StatusInternalServerError, serve.ErrorBody{
-			Message:   "engine crashed mid-chunk",
-			Retryable: true,
-			Index:     &idx,
-			Results:   prefix,
-		})
-	}))
-	defer srv.Close()
+// Every structured failure decodes in one place: a non-200 reply is
+// classified by its status line, a v2 error frame by its retryable bit, and
+// an item index is rebuilt as a *serve.ChunkError.
+func TestHTTPClientDecodesWireErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		status     int    // 200 sends body as a v2 frame stream
+		body       string // the reply body
+		want       string // the returned error's type
+		wantStatus int    // Status of a *QueryError or *ReplyError
+		wantIndex  int    // the rebuilt *serve.ChunkError's index; -1 for none
+		retryable  bool
+		wantMsg    string
+	}{
+		{"indexed 5xx reply", http.StatusInternalServerError,
+			`{"error":{"message":"engine crashed mid-chunk","retryable":true,"index":2,"results":[{"shape":"2048x8192x4096","primitive":"AllReduce"},{"shape":"4096x8192x4096","primitive":"AllReduce"}]}}`,
+			"*serve.ChunkError", 0, 2, true, "engine crashed mid-chunk"},
+		{"4xx reply", http.StatusUnprocessableEntity, `{"error":{"message":"bad shape","retryable":false}}`,
+			"*shard.QueryError", http.StatusUnprocessableEntity, -1, false, "bad shape"},
+		{"5xx reply without an envelope", http.StatusBadGateway, `<html>upstream down</html>`,
+			"*shard.ReplyError", http.StatusBadGateway, -1, true, "502 Bad Gateway"},
+		{"non-retryable frame", http.StatusOK, `{"frame":"error","error":{"message":"bad item","retryable":false}}`,
+			"*shard.QueryError", 0, -1, false, "bad item"},
+		{"indexed frame", http.StatusOK, `{"frame":"error","salvaged":1,"error":{"message":"engine crashed","retryable":true,"index":1}}`,
+			"*serve.ChunkError", 0, 1, true, "engine crashed"},
+		{"frame without a body", http.StatusOK, `{"frame":"error"}`,
+			"*shard.QueryError", 0, -1, false, "error frame without a body"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(tc.status)
+				fmt.Fprintln(w, tc.body)
+			}))
+			defer srv.Close()
 
-	c := &HTTPClient{Base: srv.URL}
-	got, err := collectClient(c, serve.SweepRequest{Items: make([]serve.SweepItem, 4)})
-	if err == nil {
-		t.Fatal("500 reply did not surface an error")
-	}
-	var ce *serve.ChunkError
-	if !errors.As(err, &ce) || ce.Index != 2 {
-		t.Fatalf("error %v does not carry chunk index 2", err)
-	}
-	if !retryable(err) {
-		t.Fatalf("5xx partial failure classified non-retryable: %v", err)
-	}
-	if len(got) != 2 || got[0].Shape != prefix[0].Shape || got[1].Shape != prefix[1].Shape {
-		t.Fatalf("salvaged prefix %+v, want the 2 completed results", got)
+			_, err := collectClient(&HTTPClient{Base: srv.URL}, serve.SweepRequest{Items: make([]serve.SweepItem, 4)})
+			if err == nil {
+				t.Fatal("failure reply did not surface an error")
+			}
+			if got := fmt.Sprintf("%T", err); got != tc.want {
+				t.Fatalf("error %v is a %s, want %s", err, got, tc.want)
+			}
+			var qe *QueryError
+			var re *ReplyError
+			switch {
+			case errors.As(err, &qe) && qe.Status != tc.wantStatus:
+				t.Fatalf("QueryError status %d, want %d", qe.Status, tc.wantStatus)
+			case errors.As(err, &re) && re.Status != tc.wantStatus:
+				t.Fatalf("ReplyError status %d, want %d", re.Status, tc.wantStatus)
+			}
+			var ce *serve.ChunkError
+			if errors.As(err, &ce) != (tc.wantIndex >= 0) || ce != nil && ce.Index != tc.wantIndex {
+				t.Fatalf("error %v does not carry chunk index %d", err, tc.wantIndex)
+			}
+			if retryable(err) != tc.retryable {
+				t.Fatalf("retryable(%v) = %v, want %v", err, retryable(err), tc.retryable)
+			}
+			if !strings.Contains(err.Error(), tc.wantMsg) {
+				t.Fatalf("error %q does not name %q", err, tc.wantMsg)
+			}
+		})
 	}
 }
 

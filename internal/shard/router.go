@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -148,17 +149,42 @@ func ParseReplicas(raw string) ([]string, error) {
 	return urls, nil
 }
 
-// decodeWireError parses a non-200 reply body: the unified error envelope
-// {"error": {"message", "retryable", ...}} every replica and router in this
-// repository writes. Any other body — garbage, or the pre-envelope
-// {"error": "..."} string — yields a zero ErrorBody; callers default the
-// message to the HTTP status, and the status class still classifies.
-func decodeWireError(r io.Reader) serve.ErrorBody {
-	var env serve.ErrorEnvelope
-	if err := json.NewDecoder(r).Decode(&env); err != nil {
-		return serve.ErrorBody{}
+// wireError rebuilds a structured failure into the error taxonomy the
+// router and coordinators act on. A non-200 reply (resp) is classified by
+// its status line — a 4xx is the request's fault, and another replica
+// would reject it too — and its body is read as the error envelope; any
+// other body leaves the message to the status line. A v2 error frame (resp
+// nil, eb its body) is classified by its retryable bit, because its stream
+// committed a 200 before executing. An item index is rebuilt as a
+// *serve.ChunkError, so coordinators attribute remote failures exactly like
+// local ones; any other retryable failure is a *ReplyError: the replica
+// answered rather than died.
+func (c *HTTPClient) wireError(path string, resp *http.Response, eb *serve.ErrorBody) error {
+	status := 0
+	if resp != nil {
+		var env serve.ErrorEnvelope
+		if json.NewDecoder(resp.Body).Decode(&env) != nil {
+			env = serve.ErrorEnvelope{}
+		}
+		if env.Error.Message == "" {
+			env.Error.Message = resp.Status
+		}
+		status, eb = resp.StatusCode, &env.Error
+	} else if eb == nil {
+		eb = &serve.ErrorBody{Message: "error frame without a body"}
 	}
-	return env.Error
+	cause := error(fmt.Errorf("shard: %s%s: %s", c.Base, path, eb.Message))
+	indexed := eb.Index != nil && *eb.Index >= 0
+	if indexed {
+		cause = &serve.ChunkError{Index: *eb.Index, Err: cause}
+	}
+	switch {
+	case status >= 400 && status < 500, status == 0 && !eb.Retryable:
+		return &QueryError{Status: status, Err: cause}
+	case indexed:
+		return cause
+	}
+	return &ReplyError{Status: status, Err: cause}
 }
 
 func (c *HTTPClient) get(ctx context.Context, path string, out any) error {
@@ -172,18 +198,7 @@ func (c *HTTPClient) get(ctx context.Context, path string, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := decodeWireError(resp.Body)
-		if eb.Message == "" {
-			eb.Message = resp.Status
-		}
-		err := fmt.Errorf("shard: %s%s: %s", c.Base, path, eb.Message)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// The replica understood the request and rejected it;
-			// another replica would too.
-			return &QueryError{Status: resp.StatusCode, Err: err}
-		}
-		// A structured 5xx is the replica answering, not dying.
-		return &ReplyError{Status: resp.StatusCode, Err: err}
+		return c.wireError(path, resp, nil)
 	}
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		return fmt.Errorf("shard: %s%s: decoding reply: %w", c.Base, path, err)
@@ -222,9 +237,8 @@ func (c *HTTPClient) Query(ctx context.Context, q serve.Query) (serve.Answer, er
 // reach the coordinator even when the replica dies mid-chunk. Every replica
 // and router in this repository answers that negotiation with v2, so a 200
 // reply is always read as a frame stream; a buffered v1 body fails as an
-// unknown frame. Failures carrying a chunk-local item index are rebuilt as
-// *serve.ChunkError, so coordinators attribute remote failures exactly like
-// local ones.
+// unknown frame. A non-200 reply (the request was rejected before
+// executing) and an error frame both decode through wireError.
 func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -242,42 +256,14 @@ func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink ser
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		eb := decodeWireError(resp.Body)
-		if eb.Message == "" {
-			eb.Message = resp.Status
-		}
-		// Deliver the envelope's salvage prefix through the sink first —
-		// the buffered-path equivalent of the result frames a v2 stream
-		// would already have delivered before its error frame.
-		for i, r := range eb.Results {
-			if serr := sink(i, r); serr != nil {
-				return serr
-			}
-		}
-		cause := error(fmt.Errorf("shard: %s/sweep: %s", c.Base, eb.Message))
-		if eb.Index != nil && *eb.Index >= 0 {
-			cause = &serve.ChunkError{Index: *eb.Index, Err: cause}
-		}
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			// The replica understood the chunk and rejected it;
-			// another replica would too.
-			return &QueryError{Status: resp.StatusCode, Err: cause}
-		}
-		// The structured reply (indexed or not) marks the replica as
-		// having answered, not died.
-		if eb.Index == nil || *eb.Index < 0 {
-			cause = &ReplyError{Status: resp.StatusCode, Err: cause}
-		}
-		return cause
+		return c.wireError("/sweep", resp, nil)
 	}
 	return c.sweepFrames(resp.Body, sink)
 }
 
 // sweepFrames consumes a v2 NDJSON sweep stream: result frames feed the
 // sink as they arrive, a done frame completes the chunk, and an error frame
-// is rebuilt into the same error taxonomy the status-coded path uses — the
-// stream committed its 200 before executing, so the frame's retryable bit
-// carries the 4xx/5xx split instead of the status line.
+// ends it through wireError.
 func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 	dec := json.NewDecoder(body)
 	for {
@@ -299,21 +285,7 @@ func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 		case serve.FrameDone:
 			return nil
 		case serve.FrameError:
-			eb := fr.Error
-			if eb == nil {
-				eb = &serve.ErrorBody{Message: "error frame without a body"}
-			}
-			cause := error(fmt.Errorf("shard: %s/sweep: %s", c.Base, eb.Message))
-			if eb.Index != nil && *eb.Index >= 0 {
-				cause = &serve.ChunkError{Index: *eb.Index, Err: cause}
-			}
-			if !eb.Retryable {
-				return &QueryError{Err: cause}
-			}
-			if eb.Index == nil || *eb.Index < 0 {
-				cause = &ReplyError{Err: cause}
-			}
-			return cause
+			return c.wireError("/sweep", nil, fr.Error)
 		default:
 			return fmt.Errorf("shard: %s/sweep: unknown frame %q", c.Base, fr.Frame)
 		}
@@ -474,70 +446,88 @@ func (r *Router) Owner(s gemm.Shape) int {
 	return r.part.OwnerAmong(s, func(m int) bool { return !r.health.Evicted(m) })
 }
 
-// Query forwards q to the owning replica. If the owner fails with a
-// replica-level error (connection refused, 5xx), the query retries on the
-// next shards in ring order until one answers; a query-level rejection (4xx)
-// returns immediately. Replicas the health plane marks dead are skipped
-// without paying a timeout — at most one trial request per cooldown window
-// probes a dead replica — and replicas dead past the eviction window stop
-// being the owner at all: their cells route straight to the ring survivors,
-// no failover hop, until re-admission hands them back. The error after
-// exhausting the fleet is the owner's (or the first attempted replica's).
+// pass is the fleet's one failover policy, shared by Query and every sweep
+// chunk's dispatch. It visits the ring once, clockwise from origin, and
+// calls hop on each admissible replica until one succeeds or budget hops
+// have been made:
+//   - replicas the health plane benches are skipped without paying a
+//     timeout (at most one trial per cooldown window reaches a dead one);
+//   - ctx is checked before every hop and again after a failure, before
+//     any health bookkeeping: a failure under a cancelled ctx is the caller
+//     giving up, never evidence against the replica;
+//   - only a transport failure benches its replica. An answered error (a
+//     4xx, a structured 5xx, an item-attributed chunk failure) proves it
+//     alive, and benching on it would let one poison request walk the ring
+//     marking the whole fleet dead;
+//   - a non-retryable error (*QueryError) ends the pass, since every
+//     replica would reject the request the same way.
 //
-// ctx cancellation stops the ring walk: the in-flight hop's request is torn
-// down, no further hops are attempted, and — critically — a transport error
-// caused by the caller's own cancellation never benches the replica, so a
-// client hanging up cannot mark a healthy fleet dead.
-func (r *Router) Query(ctx context.Context, q serve.Query) (Answer, error) {
-	owner := r.Owner(q.Shape)
-	var firstErr error
-	attempted := 0
-	for hop := 0; hop < len(r.clients); hop++ {
+// It returns the replica that succeeded; or -1 and the error that ended the
+// pass early (ctx's, or a non-retryable one); or -1 and nil once every
+// admitted replica failed. attempted counts the hops made. hop sees each
+// failure first, so callers keep whatever record of them they report.
+func (r *Router) pass(ctx context.Context, origin, budget int, hop func(replica int) error) (answered, attempted int, err error) {
+	n := len(r.clients)
+	for i := 0; i < n && attempted < budget; i++ {
 		if err := ctx.Err(); err != nil {
-			return Answer{}, err
+			return -1, attempted, err
 		}
-		replica := (owner + hop) % len(r.clients)
+		replica := (origin + i) % n
 		if !r.health.Allow(replica) {
 			continue
 		}
 		attempted++
-		ans, err := r.clients[replica].Query(ctx, q)
+		err := hop(replica)
 		if err == nil {
 			r.health.MarkHealthy(replica)
-			r.routedQueries[replica].Add(1)
-			if replica != owner {
-				r.failovers.Add(1)
-			}
-			return Answer{Answer: ans, Owner: owner, Replica: replica}, nil
+			return replica, attempted, nil
 		}
-		// A failure under a cancelled context is evidence about this
-		// request, not the replica: return without touching the health
-		// plane or walking further.
 		if ctx.Err() != nil {
-			return Answer{}, err
+			return -1, attempted, err
 		}
-		if firstErr == nil {
-			firstErr = err
-		}
-		// Bench only on transport-level failures — the ones whose retry
-		// costs a timeout. Any answered error (4xx rejection, structured
-		// 5xx) proves liveness and resolves a suspect trial healthy;
-		// benching on answered 5xx would let one deterministic-5xx
-		// poison query walk the ring and mark the whole fleet dead.
 		if replicaAnswered(err) {
 			r.health.MarkHealthy(replica)
 		} else {
 			r.health.MarkFailed(replica)
 		}
 		if !retryable(err) {
-			return Answer{}, err
+			return -1, attempted, err
 		}
 	}
-	if attempted == 0 {
+	return -1, attempted, nil
+}
+
+// Query forwards q to the replica owning its shape in one ring pass (see
+// pass): each replica is tried at most once, and a fleet benched inside
+// its cooldown fails fast — a query never waits. Replicas dead past the
+// eviction window own no cells, so their shapes route straight to the ring
+// survivors until re-admission hands them back. After every admitted
+// replica failed, the error is the first failure.
+func (r *Router) Query(ctx context.Context, q serve.Query) (Answer, error) {
+	owner := r.Owner(q.Shape)
+	var ans serve.Answer
+	var firstErr error
+	replica, attempted, err := r.pass(ctx, owner, len(r.clients), func(replica int) (err error) {
+		ans, err = r.clients[replica].Query(ctx, q)
+		if firstErr == nil {
+			firstErr = err
+		}
+		return err
+	})
+	switch {
+	case err != nil:
+		return Answer{}, err
+	case attempted == 0:
 		return Answer{}, fmt.Errorf("shard: all %d replicas are marked dead within their health cooldown (%v)",
 			len(r.clients), r.health.Cooldown())
+	case replica < 0:
+		return Answer{}, fmt.Errorf("shard: all %d replicas failed: %w", len(r.clients), firstErr)
 	}
-	return Answer{}, fmt.Errorf("shard: all %d replicas failed: %w", len(r.clients), firstErr)
+	r.routedQueries[replica].Add(1)
+	if replica != owner {
+		r.failovers.Add(1)
+	}
+	return Answer{Answer: ans, Owner: owner, Replica: replica}, nil
 }
 
 // Probe checks trial-due dead replicas' /healthz once, concurrently, and
@@ -744,20 +734,11 @@ type RoutedSweepResponse struct {
 	Redispatches uint64        `json:"redispatches"`
 }
 
-// routedFrame mirrors serve.SweepFrame with the router's attributed result
-// type: the same frame grammar on the wire, with owner/replica fields in
-// every result. Clients decoding into serve.SweepFrame simply ignore the
-// attribution, so a coordinator driving this router as a one-replica fleet
-// consumes the stream unchanged.
-type routedFrame struct {
-	Frame    string           `json:"frame"`
-	Index    int              `json:"index,omitempty"`
-	Fidelity string           `json:"fidelity,omitempty"`
-	Result   *SweepResult     `json:"result,omitempty"`
-	Count    int              `json:"count,omitempty"`
-	Salvaged int              `json:"salvaged,omitempty"`
-	Error    *serve.ErrorBody `json:"error,omitempty"`
-}
+// routedFrame is one line of the router's v2 /sweep stream: a replica's
+// frame grammar with owner/replica fields in every result. Clients decoding
+// into serve.SweepFrame simply ignore the attribution, so a coordinator
+// driving this router as a one-replica fleet consumes the stream unchanged.
+type routedFrame = serve.Frame[SweepResult]
 
 // Handler mounts the router on an HTTP mux with the same surface as a
 // replica — /query, /sweep, /stats, and /healthz — so clients cannot tell a router
@@ -797,15 +778,8 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		defer cancel()
 		ans, err := r.Query(ctx, q)
 		if err != nil {
-			status := http.StatusBadGateway
-			var qe *QueryError
-			if errors.As(err, &qe) {
-				status = qe.Status
-				if status == 0 {
-					status = http.StatusUnprocessableEntity
-				}
-			}
-			serve.WriteError(w, status, err)
+			status, body := errorReply(err)
+			serve.WriteErrorBody(w, status, body)
 			return
 		}
 		writeJSON(w, RoutedResponse{
@@ -853,33 +827,18 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		ctx, cancel := reqCtx(req)
 		defer cancel()
 		if serve.StreamRequested(req, sr) {
-			r.streamSweep(ctx, w, co, sr.Items)
+			// Stream's merged emissions become result frames as each
+			// chunk completes, so the router holds O(chunk) per shard,
+			// never the grid.
+			st := serve.NewSweepStream[SweepResult](w)
+			st.End(co.Stream(ctx, sr.Items, st.Result), errorReply)
 			return
 		}
 		results, err := co.Sweep(ctx, sr.Items)
 		if err != nil {
-			status := http.StatusBadGateway
-			var qe *QueryError
-			if errors.As(err, &qe) {
-				status = qe.Status
-				if status == 0 {
-					status = http.StatusUnprocessableEntity
-				}
-			}
-			// Forward the failing item's index (into the posted grid)
-			// like a replica's /sweep does, so an outer coordinator
-			// driving this router as a one-replica fleet re-attributes
-			// the failure to its own global index instead of blaming
-			// the chunk's first item. The buffered path carries no
-			// salvage (Coordinator.Sweep returns no results on failure);
-			// v2 streaming is what exposes the fleet's partial progress
-			// to the outer caller.
-			body := serve.ErrorBody{Message: err.Error(), Retryable: status >= 500}
-			var fe *fanError
-			if errors.As(err, &fe) {
-				idx := fe.At
-				body.Index = &idx
-			}
+			// No results ride along: the fleet's completions are not a
+			// prefix of the grid. v2 streaming is what exposes them.
+			status, body := errorReply(err)
 			serve.WriteErrorBody(w, status, body)
 			return
 		}
@@ -897,46 +856,25 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 	return mux
 }
 
-// streamSweep proxies one v2 sweep over the fleet: Coordinator.Stream's
-// merged emissions become result frames flushed as each chunk completes, so
-// the router holds O(chunk) per shard — never the grid — between the
-// client and the fleet. The 200 is committed before the sweep runs;
-// failures surface as an error frame whose retryable bit carries the
-// 4xx/5xx classification and whose salvaged count tells the client how many
-// result frames preceded it.
-func (r *Router) streamSweep(ctx context.Context, w http.ResponseWriter, co *Coordinator, items []serve.SweepItem) {
-	w.Header().Set("Content-Type", serve.ContentTypeNDJSON)
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	count := 0
-	err := co.Stream(ctx, items, func(i int, res SweepResult) error {
-		if err := enc.Encode(routedFrame{Frame: serve.FrameResult, Index: i, Fidelity: res.Fidelity, Result: &res}); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		count++
-		return nil
-	})
-	if err != nil {
-		body := serve.ErrorBody{Message: err.Error(), Retryable: retryable(err)}
-		var fe *fanError
-		if errors.As(err, &fe) {
-			idx := fe.At
-			body.Index = &idx
-		}
-		_ = enc.Encode(routedFrame{Frame: serve.FrameError, Salvaged: count, Error: &body})
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return
+// errorReply maps a fleet failure to the router's HTTP status and envelope
+// body. A *QueryError keeps its replica's 4xx (422 when it arose locally)
+// and is not retryable; anything else is a retryable 502. A sweep failure
+// carries its item's index into the posted grid, so an outer coordinator
+// driving this router as a one-replica fleet attributes it to its own
+// global item instead of blaming the chunk's first.
+func errorReply(err error) (int, serve.ErrorBody) {
+	status := http.StatusBadGateway
+	var qe *QueryError
+	if errors.As(err, &qe) {
+		status = cmp.Or(qe.Status, http.StatusUnprocessableEntity)
 	}
-	_ = enc.Encode(routedFrame{Frame: serve.FrameDone, Count: count})
-	if flusher != nil {
-		flusher.Flush()
+	body := serve.ErrorBody{Message: err.Error(), Retryable: status >= 500}
+	var fe *fanError
+	if errors.As(err, &fe) {
+		idx := fe.At
+		body.Index = &idx
 	}
+	return status, body
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
