@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/gemm"
 )
@@ -21,12 +22,18 @@ import (
 // group's completion callback runs — in the real system this is the moment
 // the signaling kernel observes the threshold and releases the
 // communication.
+//
+// The table keeps per-group state only. Every call finds its first group
+// by binary search over the bounds. A range that covers a whole group —
+// all the wave-granularity runner ever adds — then bumps the group's
+// count once. Single tiles and partial ranges mark a per-tile bitmap,
+// allocated on the first such call, so a table the runner drives never
+// pays for its tiles.
 type CountingTable struct {
 	bounds   []gemm.GroupBound
 	counts   []int
 	done     []bool
-	seen     []bool
-	groupOf  []int
+	seen     []bool // per-tile marks of Add and partial ranges; nil until used
 	complete func(g int)
 }
 
@@ -36,26 +43,19 @@ func NewCountingTable(bounds []gemm.GroupBound, complete func(g int)) *CountingT
 	if len(bounds) == 0 {
 		panic("core: counting table needs at least one group")
 	}
-	total := bounds[len(bounds)-1].PosHi
-	ct := &CountingTable{
-		bounds:   bounds,
-		counts:   make([]int, len(bounds)),
-		done:     make([]bool, len(bounds)),
-		seen:     make([]bool, total),
-		groupOf:  make([]int, total),
-		complete: complete,
-	}
 	covered := 0
 	for g, b := range bounds {
 		if b.PosLo != covered || b.PosHi < b.PosLo {
 			panic(fmt.Sprintf("core: group %d bounds [%d,%d) not contiguous after %d", g, b.PosLo, b.PosHi, covered))
 		}
-		for pos := b.PosLo; pos < b.PosHi; pos++ {
-			ct.groupOf[pos] = g
-		}
 		covered = b.PosHi
 	}
-	return ct
+	return &CountingTable{
+		bounds:   bounds,
+		counts:   make([]int, len(bounds)),
+		done:     make([]bool, len(bounds)),
+		complete: complete,
+	}
 }
 
 // Groups reports the number of wave groups P.
@@ -71,27 +71,56 @@ func (ct *CountingTable) Complete(g int) bool { return ct.done[g] }
 // atomicAdd the GEMM epilogue performs. Double counting a tile panics: it
 // would release communication before the data is ready.
 func (ct *CountingTable) Add(pos int) {
-	if pos < 0 || pos >= len(ct.seen) {
-		panic(fmt.Sprintf("core: tile position %d out of %d", pos, len(ct.seen)))
+	if total := ct.bounds[len(ct.bounds)-1].PosHi; pos < 0 || pos >= total {
+		panic(fmt.Sprintf("core: tile position %d out of %d", pos, total))
 	}
-	if ct.seen[pos] {
-		panic(fmt.Sprintf("core: tile position %d counted twice", pos))
+	ct.AddRange(pos, pos+1)
+}
+
+// AddRange records completion of positions [lo, hi) — used when a whole
+// wave group retires at once in the wave-granularity timing model. The
+// groups the range fills fire in position order. Counting any position
+// twice panics, as does a range outside the table.
+func (ct *CountingTable) AddRange(lo, hi int) {
+	if lo >= hi {
+		return
 	}
-	ct.seen[pos] = true
-	g := ct.groupOf[pos]
-	ct.counts[g]++
-	if ct.counts[g] == ct.bounds[g].Tiles() {
+	if total := ct.bounds[len(ct.bounds)-1].PosHi; lo < 0 || hi > total {
+		panic(fmt.Sprintf("core: tile positions [%d,%d) out of %d", lo, hi, total))
+	}
+	g := sort.Search(len(ct.bounds), func(i int) bool { return ct.bounds[i].PosHi > lo })
+	for ; g < len(ct.bounds) && ct.bounds[g].PosLo < hi; g++ {
+		b := ct.bounds[g]
+		ct.count(g, max(lo, b.PosLo), min(hi, b.PosHi))
+	}
+}
+
+// count records positions [lo, hi) of group g, which contains them.
+func (ct *CountingTable) count(g, lo, hi int) {
+	b := ct.bounds[g]
+	switch {
+	case lo == b.PosLo && hi == b.PosHi:
+		if ct.counts[g] != 0 {
+			panic(fmt.Sprintf("core: group %d counted twice", g))
+		}
+	case ct.done[g]:
+		panic(fmt.Sprintf("core: tile position %d counted twice", lo))
+	default:
+		if ct.seen == nil {
+			ct.seen = make([]bool, ct.bounds[len(ct.bounds)-1].PosHi)
+		}
+		for pos := lo; pos < hi; pos++ {
+			if ct.seen[pos] {
+				panic(fmt.Sprintf("core: tile position %d counted twice", pos))
+			}
+			ct.seen[pos] = true
+		}
+	}
+	ct.counts[g] += hi - lo
+	if ct.counts[g] == b.Tiles() {
 		ct.done[g] = true
 		if ct.complete != nil {
 			ct.complete(g)
 		}
-	}
-}
-
-// AddRange records completion of positions [lo, hi) — used when a whole
-// wave retires at once in the wave-granularity timing model.
-func (ct *CountingTable) AddRange(lo, hi int) {
-	for pos := lo; pos < hi; pos++ {
-		ct.Add(pos)
 	}
 }

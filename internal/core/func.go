@@ -78,7 +78,7 @@ func newFuncState(o *Options, plan *gemm.Plan, bounds []gemm.GroupBound) (*funcS
 func (fs *funcState) epilogueGroup(d, g int) {
 	b := fs.bounds[g]
 	for pos := b.PosLo; pos < b.PosHi; pos++ {
-		idx := fs.plan.Order[pos]
+		idx := fs.plan.TileAt(pos)
 		tile := fs.plan.ComputeTile(fs.as[d], fs.bs[d], idx, nil)
 		switch fs.o.Prim {
 		case hw.AllReduce:

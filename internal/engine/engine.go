@@ -7,7 +7,7 @@
 // The three entry points form a pipeline:
 //
 //   - Compile(core.Options) resolves everything shape- and
-//     platform-dependent — normalized options, the tile launch order, the
+//     platform-dependent — normalized options, the tile grid, the
 //     GEMM cost model, the wave-group partition bounds — into an immutable
 //     *Plan that is safe for concurrent reuse.
 //   - Exec(plan, variant) runs one simulation of a compiled plan against a

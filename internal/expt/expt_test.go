@@ -1,7 +1,11 @@
 package expt
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -326,6 +330,31 @@ func TestFig15ErrorAndQuality(t *testing.T) {
 		}
 	}
 	_ = FormatFig15(results)
+}
+
+// TestFig15Digest pins the simulated numbers themselves: the quick Fig. 15
+// pass's ErrorsPct and SearchQuality, bit for bit, fingerprinted the way
+// perfbench's sweep-oracle workload does. A change to a simulated time,
+// a predictor or the candidate order moves the digest.
+func TestFig15Digest(t *testing.T) {
+	results, err := Fig15(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, r := range results {
+		fmt.Fprintf(&b, "%s", r.Plat)
+		for _, x := range r.ErrorsPct {
+			fmt.Fprintf(&b, " %x", math.Float64bits(x))
+		}
+		for _, x := range r.SearchQuality {
+			fmt.Fprintf(&b, " %x", math.Float64bits(x))
+		}
+	}
+	const want = "1b38a4b89d574e60"
+	if got := fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))[:16]; got != want {
+		t.Fatalf("quick Fig. 15 digest %s, want %s", got, want)
+	}
 }
 
 func TestGPUCountsMatchPaper(t *testing.T) {

@@ -48,7 +48,7 @@ func Fig3() (*Fig3Result, error) {
 	waveDur := float64(cm.TileTime(plan, sms))
 	spread := 0.0
 	for pos, c := range comps {
-		idx := plan.Order[pos]
+		idx := plan.TileAt(pos)
 		w := plan.WaveOfPos(pos, sms)
 		res.WithoutReorder = append(res.WithoutReorder, Fig3Point{Index: idx, Completion: c, Wave: w})
 		res.WithReorder = append(res.WithReorder, Fig3Point{Index: tm.SlotOf(idx), Completion: c, Wave: w})

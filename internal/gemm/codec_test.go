@@ -29,10 +29,10 @@ var codecRejects = map[string]string{
 	"over MaxTiles":  `{"Shape":{"M":1073741824,"N":1073741824,"K":1},"Cfg":{"TileM":1,"TileN":1,"Swizzle":3},"RowTiles":1073741824,"ColTiles":1073741824,"Tiles":1152921504606846976}`,
 }
 
-// A decoded plan is indistinguishable from NewPlan's: the launch order and
-// its inverse are rebuilt, not shipped. Shipping them again would put
-// 2×4096 ints back into the last plan's encoding, so every encoding must
-// stay under 200 bytes.
+// A decoded plan is indistinguishable from NewPlan's: the launch order
+// follows from the definition, not from shipped arrays. Shipping the order
+// and its inverse would put 2×4096 ints into the last plan's encoding, so
+// every encoding must stay under 200 bytes.
 func TestPlanJSONRoundTrip(t *testing.T) {
 	for _, c := range codecPlans {
 		want := mustPlan(t, c.shape, c.cfg)

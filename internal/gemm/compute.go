@@ -71,7 +71,8 @@ func (p *Plan) ComputeTile(a, b *tensor.Matrix, idx int, ep Epilogue) *tensor.Ma
 func (p *Plan) ComputeAllTiles(a, b *tensor.Matrix, ep Epilogue) *tensor.Matrix {
 	p.checkOperands(a, b)
 	c := tensor.New(p.Shape.M, p.Shape.N)
-	for _, idx := range p.Order {
+	for pos := 0; pos < p.Tiles; pos++ {
+		idx := p.TileAt(pos)
 		tile := p.ComputeTile(a, b, idx, ep)
 		r0, c0, rows, cols := p.TileRect(idx)
 		c.CopyRect(r0, c0, tile, 0, 0, rows, cols)

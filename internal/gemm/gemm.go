@@ -82,11 +82,15 @@ func DefaultConfig(s Shape) Config {
 	return cfg
 }
 
-// MaxTiles bounds the tile grid of every plan. NewPlan materializes two
-// Tiles-long arrays, so without a bound a ~100-byte plan definition off
-// the wire (or a /query shape whose odd dimensions force one-element
-// tiles) could demand more memory than any host has. The largest grid
-// the paper's figures build, M51200-N8192 in 128x128 tiles, has 25,600.
+// MaxTiles bounds the tile grid of every plan. A plan itself is O(1) —
+// its launch order is computed, not stored — but what is built from one
+// is not: per-wave partitions and group bounds, the functional buffers
+// and reorder layouts, and a counting table's per-tile bitmap on its first
+// single-tile Add all grow with the grid. Without a bound a ~100-byte plan
+// definition off the wire (or a /query shape whose odd dimensions force
+// one-element tiles) could demand more memory than any host has. The
+// largest grid the paper's figures build, M51200-N8192 in 128x128 tiles,
+// has 25,600.
 const MaxTiles = 1 << 20
 
 // ErrTooManyTiles is wrapped by every rejection of a tile grid over
@@ -94,26 +98,21 @@ const MaxTiles = 1 << 20
 // the request rather than an internal failure.
 var ErrTooManyTiles = fmt.Errorf("gemm: tile grid exceeds %d tiles", MaxTiles)
 
-// Plan is a fully resolved tile schedule for one GEMM. Its JSON form is
-// its definition — Shape, Cfg and the tile grid — because Order and Pos
-// are derived from (Shape, Cfg) alone: UnmarshalJSON rebuilds them with
-// NewPlan instead of shipping 2×Tiles ints per plan.
+// Plan is a fully resolved tile schedule for one GEMM. The launch order
+// follows from (RowTiles, ColTiles, Cfg.Swizzle) in closed form — TileAt
+// maps an execution position to its tile and PosOf inverts it — so a plan
+// holds nothing per tile. Its JSON form is its definition: Shape, Cfg and
+// the tile grid, which UnmarshalJSON checks against NewPlan's.
 type Plan struct {
 	Shape Shape
 	Cfg   Config
 	// RowTiles, ColTiles, Tiles describe the tile grid over C.
 	RowTiles, ColTiles, Tiles int
-	// Order maps execution position -> row-major tile index: Order[p] is
-	// the p-th tile to be dispatched. With swizzling this is not the
-	// identity, which is exactly why the paper needs reordering (§3.3).
-	Order []int `json:"-"`
-	// Pos is the inverse: Pos[tileIdx] = execution position.
-	Pos []int `json:"-"`
 }
 
 // CheckPlan reports the error NewPlan(s, cfg) would return, without
-// building the launch order: request validation can reject an
-// unplannable shape at no allocation cost.
+// allocating a Plan: request validation can reject an unplannable shape
+// at no allocation cost.
 func CheckPlan(s Shape, cfg Config) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -131,10 +130,11 @@ func CheckPlan(s Shape, cfg Config) error {
 	return nil
 }
 
-// NewPlan validates the config against the shape and computes the launch
-// order. Tile dimensions must divide the problem so that every tile (and
-// later every subtile) is full-size; DefaultConfig always satisfies this.
-// The grid may hold at most MaxTiles tiles.
+// NewPlan validates the config against the shape and resolves the tile
+// grid; it allocates nothing but the Plan. Tile dimensions must divide the
+// problem so that every tile (and later every subtile) is full-size;
+// DefaultConfig always satisfies this. The grid may hold at most MaxTiles
+// tiles.
 func NewPlan(s Shape, cfg Config) (*Plan, error) {
 	if err := CheckPlan(s, cfg); err != nil {
 		return nil, err
@@ -146,11 +146,6 @@ func NewPlan(s Shape, cfg Config) (*Plan, error) {
 		ColTiles: s.N / cfg.TileN,
 	}
 	p.Tiles = p.RowTiles * p.ColTiles
-	p.Order = swizzleOrder(p.RowTiles, p.ColTiles, cfg.Swizzle)
-	p.Pos = make([]int, p.Tiles)
-	for pos, idx := range p.Order {
-		p.Pos[idx] = pos
-	}
 	return p, nil
 }
 
@@ -176,31 +171,43 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// swizzleOrder computes the launch order of tiles. Without swizzling
-// (s <= 1) tiles launch in row-major index order. With swizzling, tile
-// columns are grouped s at a time and each group is walked row-major — the
-// CUTLASS-style rasterization that improves L2 locality but makes the
-// completion order misaligned with memory addresses (Fig. 2b, Fig. 3a).
-func swizzleOrder(rowTiles, colTiles, s int) []int {
-	order := make([]int, 0, rowTiles*colTiles)
-	if s <= 1 {
-		for i := 0; i < rowTiles*colTiles; i++ {
-			order = append(order, i)
-		}
-		return order
+// TileAt reports the row-major index of the tile launched at execution
+// position pos. Without swizzling (Swizzle <= 1) tiles launch in row-major
+// index order. With swizzle s, tile columns are grouped s at a time and
+// each group is walked row-major — the CUTLASS-style rasterization that
+// improves L2 locality but makes the completion order misaligned with
+// memory addresses (Fig. 2b, Fig. 3a) — which is exactly why the paper
+// needs reordering (§3.3). Position pos lies in column group
+// g = pos / (RowTiles·s), of width w = min(s, ColTiles − g·s), at offset
+// o = pos − g·RowTiles·s, so its tile is (o / w)·ColTiles + g·s + o mod w.
+func (p *Plan) TileAt(pos int) int {
+	if pos < 0 || pos >= p.Tiles {
+		panic(fmt.Sprintf("gemm: position %d out of %d", pos, p.Tiles))
 	}
-	for cg := 0; cg < colTiles; cg += s {
-		hi := cg + s
-		if hi > colTiles {
-			hi = colTiles
-		}
-		for r := 0; r < rowTiles; r++ {
-			for c := cg; c < hi; c++ {
-				order = append(order, r*colTiles+c)
-			}
-		}
+	s := p.Cfg.Swizzle
+	if s <= 1 || s >= p.ColTiles { // one column group: row-major
+		return pos
 	}
-	return order
+	g := pos / (p.RowTiles * s)
+	w := min(s, p.ColTiles-g*s)
+	o := pos - g*p.RowTiles*s
+	return o/w*p.ColTiles + g*s + o%w
+}
+
+// PosOf reports the execution position of the tile with row-major index
+// idx; it inverts TileAt.
+func (p *Plan) PosOf(idx int) int {
+	if idx < 0 || idx >= p.Tiles {
+		panic(fmt.Sprintf("gemm: tile index %d out of %d", idx, p.Tiles))
+	}
+	s := p.Cfg.Swizzle
+	if s <= 1 || s >= p.ColTiles {
+		return idx
+	}
+	r, c := idx/p.ColTiles, idx%p.ColTiles
+	g := c / s
+	w := min(s, p.ColTiles-g*s)
+	return g*p.RowTiles*s + r*w + c - g*s
 }
 
 // TileRect returns the output rectangle of the tile with row-major index

@@ -91,9 +91,12 @@ func TestPlanGrid(t *testing.T) {
 
 func TestIdentityOrderWithoutSwizzle(t *testing.T) {
 	p := mustPlan(t, Shape{256, 512, 64}, Config{TileM: 128, TileN: 128, Swizzle: 1})
-	for pos, idx := range p.Order {
-		if pos != idx {
-			t.Fatalf("Order[%d] = %d, want identity without swizzle", pos, idx)
+	for pos := 0; pos < p.Tiles; pos++ {
+		if idx := p.TileAt(pos); idx != pos {
+			t.Fatalf("TileAt(%d) = %d, want identity without swizzle", pos, idx)
+		}
+		if got := p.PosOf(pos); got != pos {
+			t.Fatalf("PosOf(%d) = %d, want identity without swizzle", pos, got)
 		}
 	}
 }
@@ -101,16 +104,15 @@ func TestIdentityOrderWithoutSwizzle(t *testing.T) {
 func TestSwizzleOrderIsPermutation(t *testing.T) {
 	p := mustPlan(t, Shape{512, 768, 64}, Config{TileM: 128, TileN: 128, Swizzle: 2})
 	seen := make([]bool, p.Tiles)
-	for _, idx := range p.Order {
+	for pos := 0; pos < p.Tiles; pos++ {
+		idx := p.TileAt(pos)
 		if idx < 0 || idx >= p.Tiles || seen[idx] {
-			t.Fatalf("Order is not a permutation: %v", p.Order)
+			t.Fatalf("TileAt is not a permutation: TileAt(%d) = %d", pos, idx)
 		}
 		seen[idx] = true
-	}
-	// Pos must be the inverse.
-	for pos, idx := range p.Order {
-		if p.Pos[idx] != pos {
-			t.Fatalf("Pos[%d] = %d, want %d", idx, p.Pos[idx], pos)
+		// PosOf must be the inverse.
+		if got := p.PosOf(idx); got != pos {
+			t.Fatalf("PosOf(%d) = %d, want %d", idx, got, pos)
 		}
 	}
 }
@@ -121,8 +123,8 @@ func TestSwizzleOrderIsNotIdentity(t *testing.T) {
 	// semantics (non-monotonic in row-major index).
 	p := mustPlan(t, Shape{512, 768, 64}, Config{TileM: 128, TileN: 128, Swizzle: 2})
 	identity := true
-	for pos, idx := range p.Order {
-		if pos != idx {
+	for pos := 0; pos < p.Tiles; pos++ {
+		if p.TileAt(pos) != pos {
 			identity = false
 			break
 		}
@@ -138,9 +140,12 @@ func TestSwizzleExample(t *testing.T) {
 	// = indices 0,1,3,4,2,5.
 	p := mustPlan(t, Shape{2, 3, 1}, Config{TileM: 1, TileN: 1, Swizzle: 2})
 	want := []int{0, 1, 3, 4, 2, 5}
-	for i, w := range want {
-		if p.Order[i] != w {
-			t.Fatalf("Order = %v, want %v", p.Order, want)
+	for pos, w := range want {
+		if got := p.TileAt(pos); got != w {
+			t.Fatalf("TileAt(%d) = %d, want %d (order %v)", pos, got, w, want)
+		}
+		if got := p.PosOf(w); got != pos {
+			t.Fatalf("PosOf(%d) = %d, want %d", w, got, pos)
 		}
 	}
 }
@@ -363,13 +368,14 @@ func TestSwizzlePermutationProperty(t *testing.T) {
 	f := func(r, c, s uint8) bool {
 		rt, ct := int(r%12)+1, int(c%12)+1
 		sw := int(s % 6)
-		order := swizzleOrder(rt, ct, sw)
-		if len(order) != rt*ct {
+		p, err := NewPlan(Shape{rt, ct, 1}, Config{TileM: 1, TileN: 1, Swizzle: sw})
+		if err != nil || p.Tiles != rt*ct {
 			return false
 		}
-		seen := make([]bool, rt*ct)
-		for _, idx := range order {
-			if idx < 0 || idx >= rt*ct || seen[idx] {
+		seen := make([]bool, p.Tiles)
+		for pos := 0; pos < p.Tiles; pos++ {
+			idx := p.TileAt(pos)
+			if idx < 0 || idx >= p.Tiles || seen[idx] || p.PosOf(idx) != pos {
 				return false
 			}
 			seen[idx] = true

@@ -2,7 +2,7 @@ package gemm
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Partition is a wave-group partition: element j is |G_j|, the number of
@@ -41,13 +41,18 @@ func (p Partition) Validate(t int) error {
 	return nil
 }
 
-// String renders like the paper, e.g. "(1, 2, 2)".
+// String renders like the paper, e.g. "(1, 2, 2)". The tuner orders its
+// candidates by this string and the engine keys compiled plans by it.
 func (p Partition) String() string {
-	parts := make([]string, len(p))
+	b := make([]byte, 0, 2+4*len(p))
+	b = append(b, '(')
 	for i, g := range p {
-		parts[i] = fmt.Sprint(g)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, int64(g), 10)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // SingleGroup returns the degenerate partition with all T waves in one

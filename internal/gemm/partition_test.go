@@ -14,6 +14,23 @@ func partitionPlan(t *testing.T, tiles int) *Plan {
 	return p
 }
 
+func TestPartitionString(t *testing.T) {
+	for _, c := range []struct {
+		p    Partition
+		want string
+	}{
+		{Partition{1, 2, 2}, "(1, 2, 2)"},
+		{Partition{7}, "(7)"},
+		{Partition{2, 10, 10, 33}, "(2, 10, 10, 33)"},
+		{Partition{1024, 1}, "(1024, 1)"},
+		{nil, "()"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", []int(c.p), got, c.want)
+		}
+	}
+}
+
 func TestBoundsClampedExactFit(t *testing.T) {
 	p := partitionPlan(t, 12)
 	// Partition (1,2) at wave size 4 covers exactly 12 tiles.

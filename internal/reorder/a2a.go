@@ -76,7 +76,7 @@ func NewA2ALayout(p *gemm.Plan, bounds []gemm.GroupBound, nGPUs int, dest []int)
 		}
 		covered = b.PosHi
 		for pos := b.PosLo; pos < b.PosHi; pos++ {
-			idx := p.Order[pos]
+			idx := p.TileAt(pos)
 			r0, _, rows, _ := p.TileRect(idx)
 			for i := 0; i < rows; i++ {
 				token := r0 + i
@@ -133,7 +133,7 @@ func (l *A2ALayout) ScatterTile(buf []float32, tile *tensor.Matrix, idx int) {
 	if len(buf) != l.SendElems() {
 		panic(fmt.Sprintf("reorder: send buffer has %d elems, want %d", len(buf), l.SendElems()))
 	}
-	pos := p.Pos[idx]
+	pos := p.PosOf(idx)
 	tn := p.Cfg.TileN
 	for i := 0; i < p.Cfg.TileM; i++ {
 		j := l.entryPool[pos*p.Cfg.TileM+i]

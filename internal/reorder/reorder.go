@@ -19,8 +19,9 @@ import (
 )
 
 // TileMapping is the AllReduce-granularity mapping (Fig. 7d): tile t of the
-// GEMM output is stored in communication-buffer slot Pos[t] (its execution
-// position), so each wave group occupies one contiguous slot range.
+// GEMM output is stored in communication-buffer slot Plan.PosOf(t) (its
+// execution position), so each wave group occupies one contiguous slot
+// range.
 type TileMapping struct {
 	Plan *gemm.Plan
 }
@@ -42,10 +43,10 @@ func (tm *TileMapping) NewBuffer() *tensor.Matrix {
 }
 
 // SlotOf reports the buffer slot of tile idx (its execution position).
-func (tm *TileMapping) SlotOf(idx int) int { return tm.Plan.Pos[idx] }
+func (tm *TileMapping) SlotOf(idx int) int { return tm.Plan.PosOf(idx) }
 
 // TileOf reports which tile occupies buffer slot s.
-func (tm *TileMapping) TileOf(s int) int { return tm.Plan.Order[s] }
+func (tm *TileMapping) TileOf(s int) int { return tm.Plan.TileAt(s) }
 
 // ScatterTile writes a computed tile into its slot of the communication
 // buffer. This is the epilogue-fused pre-communication reorder.

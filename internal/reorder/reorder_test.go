@@ -49,12 +49,13 @@ func TestTileMappingRoundTrip(t *testing.T) {
 func TestTileMappingSlotIsExecutionPosition(t *testing.T) {
 	p := planFor(t, 8, 12, 2, 4, 4, 2)
 	tm := NewTileMapping(p)
-	for pos, idx := range p.Order {
+	for pos := 0; pos < p.Tiles; pos++ {
+		idx := tm.TileOf(pos)
+		if idx != p.TileAt(pos) {
+			t.Fatalf("TileOf(%d) = %d, want the tile launched there, %d", pos, idx, p.TileAt(pos))
+		}
 		if tm.SlotOf(idx) != pos {
 			t.Fatalf("SlotOf(%d) = %d, want execution position %d", idx, tm.SlotOf(idx), pos)
-		}
-		if tm.TileOf(pos) != idx {
-			t.Fatalf("TileOf(%d) = %d, want %d", pos, tm.TileOf(pos), idx)
 		}
 	}
 }

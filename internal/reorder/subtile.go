@@ -88,7 +88,7 @@ func (l *SubtileLayout) ScatterTile(buf *tensor.Matrix, tile *tensor.Matrix, idx
 	if tile.Rows != p.Cfg.TileM || tile.Cols != p.Cfg.TileN {
 		panic(fmt.Sprintf("reorder: tile is %dx%d, want %dx%d", tile.Rows, tile.Cols, p.Cfg.TileM, p.Cfg.TileN))
 	}
-	pos := p.Pos[idx]
+	pos := p.PosOf(idx)
 	for k := 0; k < l.NGPUs; k++ {
 		buf.CopyRect(l.sendRow(pos, k), 0, tile, k*l.SubRows, 0, l.SubRows, p.Cfg.TileN)
 	}
@@ -132,7 +132,7 @@ func (l *SubtileLayout) Gather(dst, recv *tensor.Matrix) {
 		panic(fmt.Sprintf("reorder: gather dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, l.LocalRows(), p.Shape.N))
 	}
 	for pos := 0; pos < p.Tiles; pos++ {
-		idx := p.Order[pos]
+		idx := p.TileAt(pos)
 		tr, tc := idx/p.ColTiles, idx%p.ColTiles
 		dst.CopyRect(tr*l.SubRows, tc*p.Cfg.TileN, recv, pos*l.SubRows, 0, l.SubRows, p.Cfg.TileN)
 	}
@@ -154,7 +154,7 @@ func (l *SubtileLayout) GatherFusedRMSNorm(dst, recv *tensor.Matrix, weight []fl
 	for lr := 0; lr < l.LocalRows(); lr++ {
 		tr, i := lr/l.SubRows, lr%l.SubRows
 		for tc := 0; tc < p.ColTiles; tc++ {
-			pos := p.Pos[tr*p.ColTiles+tc]
+			pos := p.PosOf(tr*p.ColTiles + tc)
 			segs[tc] = recv.Row(pos*l.SubRows + i)
 		}
 		rmsNormSegments(dst.Row(lr), segs, tn, weight, eps)

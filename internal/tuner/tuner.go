@@ -187,9 +187,10 @@ func Candidates(t, s1, sp, limit int) []gemm.Partition {
 			return out
 		}
 	}
-	// Structured fallback.
-	seen := map[string]bool{}
-	var out []gemm.Partition
+	// Structured fallback, deduplicated and ordered by each partition's
+	// string, formatted once.
+	seen := map[string]gemm.Partition{}
+	var keys []string
 	add := func(p gemm.Partition) {
 		if p.Validate(t) != nil {
 			return
@@ -198,9 +199,9 @@ func Candidates(t, s1, sp, limit int) []gemm.Partition {
 			return
 		}
 		key := p.String()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
+		if _, dup := seen[key]; !dup {
+			seen[key] = p
+			keys = append(keys, key)
 		}
 	}
 	add(gemm.SingleGroup(t))
@@ -222,7 +223,11 @@ func Candidates(t, s1, sp, limit int) []gemm.Partition {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	sort.Strings(keys)
+	out := make([]gemm.Partition, len(keys))
+	for i, key := range keys {
+		out[i] = seen[key]
+	}
 	return out
 }
 

@@ -78,9 +78,14 @@ func TestCandidatesLargeTBounded(t *testing.T) {
 	if len(cands) == 0 || len(cands) > 512 {
 		t.Fatalf("large-T candidates = %d, want (0, 512]", len(cands))
 	}
-	for _, c := range cands {
+	for i, c := range cands {
 		if err := c.Validate(80); err != nil {
 			t.Fatalf("invalid candidate %v: %v", c, err)
+		}
+		// Fig. 15's sampling and the exhaustive oracle's tie-break
+		// depend on this order: strictly increasing by string.
+		if i > 0 && cands[i-1].String() >= c.String() {
+			t.Fatalf("candidates %d and %d out of order: %v then %v", i-1, i, cands[i-1], c)
 		}
 	}
 }
