@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/comm"
 	"repro/internal/gemm"
@@ -82,11 +83,13 @@ func execute(ctx context.Context, o *Options, plan *gemm.Plan, cm gemm.CostModel
 	}
 
 	// Per-device, per-group ready signals driven by the counting tables.
+	groups := len(bounds)
+	names := execNames(o.NGPUs, groups, o.Prim.Short())
 	sigs := make([][]*gpu.Signal, o.NGPUs)
 	for d := 0; d < o.NGPUs; d++ {
-		sigs[d] = make([]*gpu.Signal, len(bounds))
+		sigs[d] = make([]*gpu.Signal, groups)
 		for g := range bounds {
-			sigs[d][g] = gpu.NewSignal(cluster.Sim, fmt.Sprintf("dev%d/G%d", d, g))
+			sigs[d][g] = gpu.NewSignal(cluster.Sim, names[d*groups+g])
 		}
 	}
 
@@ -153,7 +156,7 @@ func execute(ctx context.Context, o *Options, plan *gemm.Plan, cm gemm.CostModel
 		}
 		perRank := o.groupBytes(fs, plan, bounds, g)
 		res.Groups[g].Bytes = maxInt64(perRank)
-		done := com.Collective(fmt.Sprintf("%s/G%d", o.Prim.Short(), g+1), o.Prim, perRank, func() {
+		done := com.Collective(names[o.NGPUs*groups+g], o.Prim, perRank, func() {
 			if fs != nil {
 				fs.applyGroup(g)
 			}
@@ -191,6 +194,39 @@ func execute(ctx context.Context, o *Options, plan *gemm.Plan, cm gemm.CostModel
 		}
 	}
 	return res, nil
+}
+
+// execNames formats one execution's signal names, "dev<d>/G<g>" at index
+// d*groups+g, then its collective names, "<prim>/G<g+1>" at index
+// nGPUs*groups+g. All of them are slices of one string, so naming an
+// execution takes a fixed four allocations rather than a fmt.Sprintf per
+// device and group.
+func execNames(nGPUs, groups int, prim string) []string {
+	n := (nGPUs + 1) * groups
+	buf := make([]byte, 0, 16*n)
+	ends := make([]int, 0, n)
+	for d := 0; d < nGPUs; d++ {
+		for g := 0; g < groups; g++ {
+			buf = append(buf, "dev"...)
+			buf = strconv.AppendInt(buf, int64(d), 10)
+			buf = append(buf, "/G"...)
+			buf = strconv.AppendInt(buf, int64(g), 10)
+			ends = append(ends, len(buf))
+		}
+	}
+	for g := 1; g <= groups; g++ {
+		buf = append(buf, prim...)
+		buf = append(buf, "/G"...)
+		buf = strconv.AppendInt(buf, int64(g), 10)
+		ends = append(ends, len(buf))
+	}
+	all := string(buf)
+	names := make([]string, n)
+	lo := 0
+	for i, hi := range ends {
+		names[i], lo = all[lo:hi], hi
+	}
+	return names
 }
 
 // groupBytes resolves group g's per-rank payload.

@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gemm"
+	"repro/internal/gpu"
 	"repro/internal/hw"
 	"repro/internal/tensor"
 )
@@ -409,5 +411,51 @@ func TestFunctionalEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// One DES execution allocates per device and per group, not per event.
+// The 4-GPU, 17-group plan below made 1456 allocations when the event heap
+// boxed every event and every stream op built its own closures.
+func TestExecAllocatesPerDeviceAndGroup(t *testing.T) {
+	c, err := Compile(Options{Plat: hw.RTX4090PCIe(), NGPUs: 4,
+		Shape: gemm.Shape{M: 4096, N: 8192, K: 4096}, Prim: hw.AllReduce})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := len(c.bounds); g != 17 {
+		t.Fatalf("plan has %d groups, want 17", g)
+	}
+	v := c.DefaultVariant()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := c.Exec(context.Background(), v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 600 {
+		t.Fatalf("Exec made %v allocations, want at most 600", allocs)
+	}
+}
+
+// The trace of a 2-GPU, 2-group run: each device's GEMM on its compute
+// stream and one collective per group on its comm stream, at the times the
+// simulator has always produced.
+func TestTraceSpansGolden(t *testing.T) {
+	o := Options{Plat: hw.RTX4090PCIe(), NGPUs: 2, Shape: gemm.Shape{M: 2048, N: 8192, K: 8192},
+		Prim: hw.AllReduce, Partition: gemm.Partition{5, 4}, Trace: true}
+	res, err := Run(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []gpu.Span{
+		{Device: 0, Stream: "compute", Name: "gemm+epilogue", Start: 0, End: 1299168, SMs: 124},
+		{Device: 0, Stream: "comm", Name: "AR/G1", Start: 724000, End: 2426582, SMs: 4},
+		{Device: 0, Stream: "comm", Name: "AR/G2", Start: 2428000, End: 3608175, SMs: 4},
+		{Device: 1, Stream: "compute", Name: "gemm+epilogue", Start: 0, End: 1263417, SMs: 124},
+		{Device: 1, Stream: "comm", Name: "AR/G1", Start: 724000, End: 2426582, SMs: 4},
+		{Device: 1, Stream: "comm", Name: "AR/G2", Start: 2428000, End: 3608175, SMs: 4},
+	}
+	if !reflect.DeepEqual(res.Trace, want) {
+		t.Fatalf("trace spans:\n got %+v\nwant %+v", res.Trace, want)
 	}
 }

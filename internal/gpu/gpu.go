@@ -72,23 +72,21 @@ func (d *Device) AvailableSMs() int {
 	return n
 }
 
-// reserveComm acquires n SMs for a collective; release is returned.
-func (d *Device) reserveComm(n int) (release func()) {
+// reserveComm acquires n SMs for a collective.
+func (d *Device) reserveComm(n int) {
 	if n < 0 {
 		panic(fmt.Sprintf("gpu: negative SM reservation %d", n))
 	}
 	d.commSMs += n
-	released := false
-	return func() {
-		if released {
-			panic("gpu: double release of comm SMs")
-		}
-		released = true
-		d.commSMs -= n
-		if d.commSMs < 0 {
-			panic("gpu: comm SM accounting went negative")
-		}
+}
+
+// releaseComm returns n SMs acquired by reserveComm. Releasing more than
+// is reserved panics before the count is touched.
+func (d *Device) releaseComm(n int) {
+	if n > d.commSMs {
+		panic("gpu: comm SM accounting went negative")
 	}
+	d.commSMs -= n
 }
 
 // JitterFactor returns the deterministic measurement-noise factor for the
@@ -114,7 +112,15 @@ type Signal struct {
 	name    string
 	fired   bool
 	at      sim.Time
-	waiters []func(at sim.Time)
+	waiters []waiter
+}
+
+// waiter is one party blocked on a signal: a Wait callback, or a stream
+// blocked in WaitSignal, which resumes on its poll boundary.
+type waiter struct {
+	fn   func(at sim.Time)
+	st   *Stream
+	poll sim.Time
 }
 
 // NewSignal creates an unfired signal.
@@ -132,7 +138,11 @@ func (s *Signal) Fire() {
 	s.fired = true
 	s.at = s.sim.Now()
 	for _, w := range s.waiters {
-		w(s.at)
+		if w.st != nil {
+			w.st.resume(s.at, w.poll)
+		} else {
+			w.fn(s.at)
+		}
 	}
 	s.waiters = nil
 }
@@ -147,14 +157,27 @@ func (s *Signal) Wait(fn func(at sim.Time)) {
 		fn(s.at)
 		return
 	}
-	s.waiters = append(s.waiters, fn)
+	s.waiters = append(s.waiters, waiter{fn: fn})
 }
 
-// op is one queue entry in a stream.
-type op interface {
-	// run executes the op; done must be called exactly once when the op
-	// completes so the stream can advance.
-	run(st *Stream, done func())
+// opKind selects what a stream op does.
+type opKind uint8
+
+const (
+	opKernel opKind = iota // run kernel
+	opWait                 // block until sig fires, then wait for a poll
+	opRecord               // fire sig
+	opJoin                 // join rendezvous rv
+)
+
+// op is one queue entry in a stream. It is stored by value, and only the
+// fields its kind names are set.
+type op struct {
+	kind   opKind
+	poll   sim.Time
+	kernel *KernelSpec
+	sig    *Signal
+	rv     *Rendezvous
 }
 
 // Stream is an in-order execution queue on one device.
@@ -162,14 +185,25 @@ type Stream struct {
 	Dev  *Device
 	Name string
 
-	queue   []op
+	queue   []op // queue[head:] is pending; reused from the start once drained
+	head    int
 	running bool
 	idle    []func() // callbacks for Drain
+
+	// done completes the running op and starts the next; it is built once
+	// so scheduling a completion allocates nothing.
+	done func()
+	// kernel and start describe the running kernel, if the running op is
+	// one, for its completion.
+	kernel *KernelSpec
+	start  sim.Time
 }
 
 // NewStream creates a named stream on dev.
 func NewStream(dev *Device, name string) *Stream {
-	return &Stream{Dev: dev, Name: name}
+	st := &Stream{Dev: dev, Name: name}
+	st.done = st.complete
+	return st
 }
 
 func (st *Stream) enqueue(o op) {
@@ -181,7 +215,8 @@ func (st *Stream) pump() {
 	if st.running {
 		return
 	}
-	if len(st.queue) == 0 {
+	if st.head == len(st.queue) {
+		st.queue, st.head = st.queue[:0], 0
 		for _, fn := range st.idle {
 			fn()
 		}
@@ -189,12 +224,36 @@ func (st *Stream) pump() {
 		return
 	}
 	st.running = true
-	next := st.queue[0]
-	st.queue = st.queue[1:]
-	next.run(st, func() {
-		st.running = false
-		st.pump()
-	})
+	next := st.queue[st.head]
+	st.queue[st.head] = op{}
+	st.head++
+	switch next.kind {
+	case opKernel:
+		st.startKernel(next.kernel)
+	case opWait:
+		next.sig.block(st, next.poll)
+	case opRecord:
+		next.sig.Fire()
+		st.complete()
+	case opJoin:
+		next.rv.join(st)
+	}
+}
+
+// complete finishes the running op, a kernel's span and OnComplete first,
+// and advances the stream.
+func (st *Stream) complete() {
+	if k := st.kernel; k != nil {
+		st.kernel = nil
+		dev := st.Dev
+		end := dev.Sim.Now()
+		dev.addSpan(Span{Device: dev.ID, Stream: st.Name, Name: k.Name, Start: st.start, End: end, SMs: k.SMs})
+		if k.OnComplete != nil {
+			k.OnComplete(end)
+		}
+	}
+	st.running = false
+	st.pump()
 }
 
 // KernelSpec describes a compute kernel to launch.
@@ -213,26 +272,20 @@ type KernelSpec struct {
 	OnComplete func(end sim.Time)
 }
 
-type kernelOp struct{ spec KernelSpec }
-
-func (k kernelOp) run(st *Stream, done func()) {
+// startKernel begins the kernel at the current instant; the stream's done
+// callback completes it.
+func (st *Stream) startKernel(k *KernelSpec) {
 	dev := st.Dev
 	start := dev.Sim.Now()
-	if k.spec.OnStart != nil {
-		k.spec.OnStart(start)
+	if k.OnStart != nil {
+		k.OnStart(start)
 	}
-	d := k.spec.Duration(dev, start)
+	d := k.Duration(dev, start)
 	if d < 0 {
-		panic(fmt.Sprintf("gpu: kernel %q negative duration %v", k.spec.Name, d))
+		panic(fmt.Sprintf("gpu: kernel %q negative duration %v", k.Name, d))
 	}
-	dev.Sim.After(d, func() {
-		end := dev.Sim.Now()
-		dev.addSpan(Span{Device: dev.ID, Stream: st.Name, Name: k.spec.Name, Start: start, End: end, SMs: k.spec.SMs})
-		if k.spec.OnComplete != nil {
-			k.spec.OnComplete(end)
-		}
-		done()
-	})
+	st.kernel, st.start = k, start
+	dev.Sim.After(d, st.done)
 }
 
 // Launch enqueues a kernel on the stream.
@@ -240,54 +293,52 @@ func (st *Stream) Launch(spec KernelSpec) {
 	if spec.Duration == nil {
 		panic(fmt.Sprintf("gpu: kernel %q has no duration model", spec.Name))
 	}
-	st.enqueue(kernelOp{spec: spec})
+	st.enqueue(op{kind: opKernel, kernel: &spec})
 }
 
-type waitOp struct {
-	sig  *Signal
-	poll sim.Time
+// block holds st until s fires, then resumes it (see resume). Waiters,
+// streams and Wait callbacks alike, wake in registration order.
+func (s *Signal) block(st *Stream, poll sim.Time) {
+	if s.fired {
+		st.resume(s.at, poll)
+		return
+	}
+	s.waiters = append(s.waiters, waiter{st: st, poll: poll})
 }
 
-func (w waitOp) run(st *Stream, done func()) {
+// resume completes the stream's wait on a signal that fired at time at,
+// once the waiting stream can have seen it.
+func (st *Stream) resume(at, poll sim.Time) {
 	s := st.Dev.Sim
-	w.sig.Wait(func(at sim.Time) {
-		resume := sim.Max(s.Now(), at)
-		// The signaling kernel polls the counting table periodically
-		// (§5); quantize the release to the next poll boundary to model
-		// that cost. poll == 0 means an ideal, instantaneous wait.
-		if w.poll > 0 {
-			offset := resume % w.poll
-			if offset != 0 {
-				resume += w.poll - offset
-			}
+	t := sim.Max(s.Now(), at)
+	// The signaling kernel polls the counting table periodically (§5);
+	// quantize the release to the next poll boundary to model that cost.
+	// poll == 0 means an ideal, instantaneous wait.
+	if poll > 0 {
+		offset := t % poll
+		if offset != 0 {
+			t += poll - offset
 		}
-		s.At(resume, done)
-	})
+	}
+	s.At(t, st.done)
 }
 
 // WaitSignal blocks the stream until sig fires. poll > 0 quantizes the
 // wake-up to the signaling kernel's polling period.
 func (st *Stream) WaitSignal(sig *Signal, poll sim.Time) {
-	st.enqueue(waitOp{sig: sig, poll: poll})
-}
-
-type recordOp struct{ sig *Signal }
-
-func (r recordOp) run(st *Stream, done func()) {
-	r.sig.Fire()
-	done()
+	st.enqueue(op{kind: opWait, sig: sig, poll: poll})
 }
 
 // Record enqueues an event that fires sig once all previously enqueued work
 // on the stream has completed (CUDA's cudaEventRecord).
 func (st *Stream) Record(sig *Signal) {
-	st.enqueue(recordOp{sig: sig})
+	st.enqueue(op{kind: opRecord, sig: sig})
 }
 
 // OnDrain registers fn to run the next time the stream has no queued or
 // running work. If the stream is already idle, fn runs immediately.
 func (st *Stream) OnDrain(fn func()) {
-	if !st.running && len(st.queue) == 0 {
+	if !st.running && st.head == len(st.queue) {
 		fn()
 		return
 	}
@@ -309,12 +360,10 @@ type Rendezvous struct {
 	OnComplete func(end sim.Time)
 
 	n        int
-	arrived  int
-	releases []func()
-	devs     []*Device
-	streams  []*Stream
-	dones    []func()
+	parts    []*Stream // participants in arrival order, capacity n
 	started  bool
+	released bool
+	start    sim.Time
 }
 
 // NewRendezvous creates a rendezvous for n participants.
@@ -322,56 +371,66 @@ func NewRendezvous(name string, n int, smPerDev int, duration func(start sim.Tim
 	if n < 1 {
 		panic("gpu: rendezvous needs at least one participant")
 	}
-	return &Rendezvous{Name: name, Duration: duration, SMs: smPerDev, n: n}
+	return &Rendezvous{Name: name, Duration: duration, SMs: smPerDev, n: n, parts: make([]*Stream, 0, n)}
 }
 
-type joinOp struct{ rv *Rendezvous }
-
-func (j joinOp) run(st *Stream, done func()) {
-	rv := j.rv
+// join adds st as the next participant. The stream stays blocked until the
+// collective started by the last arrival ends.
+func (rv *Rendezvous) join(st *Stream) {
 	if rv.started {
 		panic(fmt.Sprintf("gpu: join on already-started rendezvous %q", rv.Name))
 	}
-	rv.arrived++
-	if rv.arrived > rv.n {
+	if len(rv.parts) == rv.n {
 		panic(fmt.Sprintf("gpu: rendezvous %q has more joins than participants", rv.Name))
 	}
-	rv.devs = append(rv.devs, st.Dev)
-	rv.streams = append(rv.streams, st)
-	rv.dones = append(rv.dones, done)
-	if rv.arrived < rv.n {
-		return // stream stays blocked until the last rank arrives
+	rv.parts = append(rv.parts, st)
+	if len(rv.parts) < rv.n {
+		return
 	}
 	rv.started = true
 	s := st.Dev.Sim
-	start := s.Now()
-	for _, dev := range rv.devs {
-		rv.releases = append(rv.releases, dev.reserveComm(rv.SMs))
+	rv.start = s.Now()
+	for _, p := range rv.parts {
+		p.Dev.reserveComm(rv.SMs)
 	}
-	d := rv.Duration(start)
+	d := rv.Duration(rv.start)
 	if d < 0 {
 		panic(fmt.Sprintf("gpu: rendezvous %q negative duration %v", rv.Name, d))
 	}
-	s.After(d, func() {
-		end := s.Now()
-		for i, dev := range rv.devs {
-			dev.addSpan(Span{Device: dev.ID, Stream: rv.streams[i].Name, Name: rv.Name, Start: start, End: end, SMs: rv.SMs})
-		}
-		for _, rel := range rv.releases {
-			rel()
-		}
-		if rv.OnComplete != nil {
-			rv.OnComplete(end)
-		}
-		for _, dn := range rv.dones {
-			dn()
-		}
-	})
+	s.After(d, rv.finish)
+}
+
+// finish ends the collective: spans, SM release, OnComplete, then every
+// participant's stream advances in arrival order.
+func (rv *Rendezvous) finish() {
+	end := rv.parts[0].Dev.Sim.Now()
+	for _, p := range rv.parts {
+		p.Dev.addSpan(Span{Device: p.Dev.ID, Stream: p.Name, Name: rv.Name, Start: rv.start, End: end, SMs: rv.SMs})
+	}
+	rv.release()
+	if rv.OnComplete != nil {
+		rv.OnComplete(end)
+	}
+	for _, p := range rv.parts {
+		p.complete()
+	}
+}
+
+// release returns the SMs the collective holds on every participant's
+// device. It runs once per collective.
+func (rv *Rendezvous) release() {
+	if rv.released {
+		panic("gpu: double release of comm SMs")
+	}
+	rv.released = true
+	for _, p := range rv.parts {
+		p.Dev.releaseComm(rv.SMs)
+	}
 }
 
 // Join enqueues this stream's participation in the rendezvous.
 func (st *Stream) Join(rv *Rendezvous) {
-	st.enqueue(joinOp{rv: rv})
+	st.enqueue(op{kind: opJoin, rv: rv})
 }
 
 // Cluster is a convenience holder for an n-GPU node sharing one simulator.

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -303,4 +304,66 @@ func TestClusterConstruction(t *testing.T) {
 		}
 	}()
 	NewCluster(hw.A800NVLink(), 0)
+}
+
+// wantPanic calls fn and checks that it panics with msg.
+func wantPanic(t *testing.T, msg string, fn func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != msg {
+			t.Errorf("recovered %v, want panic %q", r, msg)
+		}
+	}()
+	fn()
+}
+
+func TestRendezvousReleaseTwicePanics(t *testing.T) {
+	c := testCluster(t, 2)
+	rv := NewRendezvous("coll", 2, 8, func(sim.Time) sim.Time { return 10 })
+	NewStream(c.Devices[0], "comm").Join(rv)
+	NewStream(c.Devices[1], "comm").Join(rv)
+	c.Sim.Run() // reserves on both devices, then releases once
+	wantPanic(t, "gpu: double release of comm SMs", rv.release)
+	for _, d := range c.Devices {
+		if got := d.CommReservedSMs(); got != 0 {
+			t.Errorf("device %d holds %d comm SMs after a double release, want 0", d.ID, got)
+		}
+	}
+}
+
+func TestCommAccountingNeverGoesNegative(t *testing.T) {
+	d := testCluster(t, 1).Devices[0]
+	d.reserveComm(4)
+	wantPanic(t, "gpu: comm SM accounting went negative", func() { d.releaseComm(5) })
+	if got := d.CommReservedSMs(); got != 4 {
+		t.Fatalf("CommReservedSMs() = %d after an over-release, want 4", got)
+	}
+	d.releaseComm(4)
+	wantPanic(t, "gpu: comm SM accounting went negative", func() { d.releaseComm(1) })
+	if got := d.CommReservedSMs(); got != 0 {
+		t.Fatalf("CommReservedSMs() = %d, want 0", got)
+	}
+	wantPanic(t, "gpu: negative SM reservation -1", func() { d.reserveComm(-1) })
+}
+
+// Wait callbacks and streams blocked in WaitSignal share one waiter list:
+// on Fire they wake in registration order, so events they schedule for the
+// same instant run in that order too.
+func TestSignalWakesWaitersInRegistrationOrder(t *testing.T) {
+	c := testCluster(t, 1)
+	sig := NewSignal(c.Sim, "s")
+	var order []string
+	waitEvent := func(name string) func(sim.Time) {
+		return func(at sim.Time) { c.Sim.At(at, func() { order = append(order, name) }) }
+	}
+	sig.Wait(waitEvent("first"))
+	st := NewStream(c.Devices[0], "comm")
+	st.WaitSignal(sig, 0)
+	st.Launch(KernelSpec{Name: "k", Duration: fixed(1), OnStart: func(sim.Time) { order = append(order, "stream") }})
+	sig.Wait(waitEvent("last"))
+	c.Sim.At(5, sig.Fire)
+	c.Sim.Run()
+	if want := []string{"first", "stream", "last"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("wake order %v, want %v", order, want)
+	}
 }

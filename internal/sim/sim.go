@@ -12,9 +12,9 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math"
 )
 
 // Time is a virtual timestamp in nanoseconds since the start of the
@@ -42,6 +42,9 @@ func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 // String formats the time with an adaptive unit, e.g. "12.34µs".
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64:
+		// -t overflows back to t, so the magnitude cannot be formatted.
+		return fmt.Sprintf("%dns", int64(t))
 	case t < 0:
 		return fmt.Sprintf("-%s", (-t).String())
 	case t < Microsecond:
@@ -69,24 +72,60 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap orders events by (at, seq).
+// before orders events by (at, seq).
+func (e event) before(o event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by (at, seq). It is
+// typed rather than built on container/heap, whose interface{} Push and Pop
+// box every event onto the heap.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event. The vacated tail slot is
+// cleared so the heap's spare capacity holds no closure.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Simulator executes scheduled events in virtual-time order.
@@ -124,7 +163,7 @@ func (s *Simulator) At(t Time, fn func()) {
 		panic("sim: nil event function")
 	}
 	s.seq++
-	heap.Push(&s.queue, event{at: t, seq: s.seq, fn: fn})
+	s.queue.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now. Negative delays panic.
@@ -138,20 +177,34 @@ func (s *Simulator) After(d Time, fn func()) {
 // Run executes events until the queue is empty (or MaxSteps is exceeded, in
 // which case it panics, since that always indicates a model bug).
 func (s *Simulator) Run() {
+	s.enter()
+	defer s.exit()
+	for len(s.queue) > 0 {
+		s.step()
+	}
+}
+
+// enter marks an event loop as running. Every loop (Run, RunCtx, RunUntil)
+// panics when entered from inside another's event: a nested loop would
+// run later events before the current one returns.
+func (s *Simulator) enter() {
 	if s.running {
 		panic("sim: Run called reentrantly")
 	}
 	s.running = true
-	defer func() { s.running = false }()
-	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.at
-		s.steps++
-		if s.MaxSteps != 0 && s.steps > s.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", s.MaxSteps, s.now))
-		}
-		e.fn()
+}
+
+func (s *Simulator) exit() { s.running = false }
+
+// step executes the earliest queued event.
+func (s *Simulator) step() {
+	e := s.queue.pop()
+	s.now = e.at
+	s.steps++
+	if s.MaxSteps != 0 && s.steps > s.MaxSteps {
+		panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", s.MaxSteps, s.now))
 	}
+	e.fn()
 }
 
 // interruptStride is how many events RunCtx executes between context polls.
@@ -171,43 +224,31 @@ const interruptStride = 64
 // leaves the remaining queue intact; callers discard the simulator, as
 // every execution in this repository builds a fresh one.
 func (s *Simulator) RunCtx(ctx context.Context) error {
-	if s.running {
-		panic("sim: Run called reentrantly")
-	}
-	s.running = true
-	defer func() { s.running = false }()
+	s.enter()
+	defer s.exit()
 	for len(s.queue) > 0 {
 		if s.steps%interruptStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.at
-		s.steps++
-		if s.MaxSteps != 0 && s.steps > s.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", s.MaxSteps, s.now))
-		}
-		e.fn()
+		s.step()
 	}
 	return nil
 }
 
 // RunUntil executes events with timestamps <= deadline, leaving later events
-// queued. It reports whether the queue drained completely.
+// queued. It reports whether the queue drained completely. Like Run, it
+// panics when called from inside an event.
 func (s *Simulator) RunUntil(deadline Time) bool {
+	s.enter()
+	defer s.exit()
 	for len(s.queue) > 0 {
 		if s.queue[0].at > deadline {
 			s.now = deadline
 			return false
 		}
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.at
-		s.steps++
-		if s.MaxSteps != 0 && s.steps > s.MaxSteps {
-			panic(fmt.Sprintf("sim: exceeded MaxSteps=%d at t=%v", s.MaxSteps, s.now))
-		}
-		e.fn()
+		s.step()
 	}
 	return true
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -65,6 +67,7 @@ func TestTimeString(t *testing.T) {
 		{1500, "1.5µs"},
 		{2 * Millisecond, "2ms"},
 		{3 * Second, "3s"},
+		{math.MinInt64, "-9223372036854775808ns"},
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
@@ -174,6 +177,43 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// wantReentrantPanic runs loop and checks that it panics the way a nested
+// Run does.
+func wantReentrantPanic(t *testing.T, name string, loop func()) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != "sim: Run called reentrantly" {
+			t.Errorf("%s inside an event: recovered %v, want the reentrancy panic", name, r)
+		}
+	}()
+	loop()
+}
+
+func TestRunUntilInsideRunPanics(t *testing.T) {
+	s := New()
+	s.At(10, func() { wantReentrantPanic(t, "RunUntil", func() { s.RunUntil(20) }) })
+	s.At(15, func() {})
+	s.Run()
+	if s.Steps() != 2 {
+		t.Fatalf("Steps() = %d, want 2: the nested loop ran events", s.Steps())
+	}
+}
+
+func TestRunInsideRunUntilPanics(t *testing.T) {
+	s := New()
+	s.At(10, func() { wantReentrantPanic(t, "Run", s.Run) })
+	s.At(15, func() {})
+	if !s.RunUntil(20) {
+		t.Fatal("RunUntil(20) did not drain the queue")
+	}
+	if s.Steps() != 2 {
+		t.Fatalf("Steps() = %d, want 2: the nested loop ran events", s.Steps())
+	}
+	// Neither loop is left marked as running.
+	s.At(30, func() {})
+	s.Run()
+}
+
 func TestMaxStepsPanics(t *testing.T) {
 	s := New()
 	s.MaxSteps = 10
@@ -240,5 +280,64 @@ func TestRunOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: with many ties among a few times, and events scheduled from
+// inside events, Run visits events exactly in a stable sort of their
+// scheduling order by time, i.e. in (time, insertion) order.
+func TestRunOrderMatchesStableSort(t *testing.T) {
+	f := func(offsets []uint8) bool {
+		s := New()
+		type ev struct {
+			id int
+			at Time
+		}
+		var scheduled, visited []ev
+		var schedule func(at Time, child uint8)
+		schedule = func(at Time, child uint8) {
+			e := ev{id: len(scheduled), at: at}
+			scheduled = append(scheduled, e)
+			s.At(at, func() {
+				visited = append(visited, e)
+				if child > 0 && child%3 == 0 {
+					schedule(s.Now()+Time(child%4), child/3)
+				}
+			})
+		}
+		for _, o := range offsets {
+			schedule(Time(o%8), o)
+		}
+		s.Run()
+		sort.SliceStable(scheduled, func(i, j int) bool { return scheduled[i].at < scheduled[j].at })
+		if len(visited) != len(scheduled) {
+			return false
+		}
+		for i := range visited {
+			if visited[i] != scheduled[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// A warm simulator schedules and runs events without allocating: the heap
+// is typed, so neither At nor the event loop boxes an event.
+func TestEventLoopAllocatesNothing(t *testing.T) {
+	s := New()
+	fn := func() {}
+	batch := func() {
+		for i := 0; i < 64; i++ {
+			s.After(Time(i%5), fn)
+		}
+		s.Run()
+	}
+	batch() // grow the queue to its working capacity
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Fatalf("At+Run allocated %v times per batch of 64 events, want 0", allocs)
 	}
 }

@@ -9,6 +9,8 @@
 #
 #   - cmd/        — process entry points own the root context
 #   - examples/   — standalone programs, same reason
+#   - perfbench/  — the benchmark's main package, a process entry point
+#     like cmd/: its run root and its fleet's shutdown timeout
 #   - *_test.go   — tests are their own callers
 #   - internal/serve/server.go — the HTTP server boundary: the signal-
 #     driven root context and the detached shutdown-grace context are
@@ -25,7 +27,7 @@ fail=0
 while IFS= read -r hit; do
   file="${hit%%:*}"
   case "$file" in
-  cmd/* | examples/* | *_test.go | internal/serve/server.go) continue ;;
+  cmd/* | examples/* | perfbench/* | *_test.go | internal/serve/server.go) continue ;;
   esac
   echo "CONTEXT ROOT IN LIBRARY CODE: $hit" >&2
   fail=1
@@ -36,4 +38,4 @@ if [ "$fail" -ne 0 ]; then
   echo "(context.WithoutCancel(ctx) is the sanctioned way to detach execution)" >&2
   exit 1
 fi
-echo "context check passed: no context roots outside cmd/, examples/, tests, and the server boundary"
+echo "context check passed: no context roots outside cmd/, examples/, perfbench/, tests, and the server boundary"
