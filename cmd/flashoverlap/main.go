@@ -69,9 +69,11 @@ func main() {
 	fmt.Printf("\n%s  %v  GEMM+%s  %d GPUs\n", plat.Name, shape, prim.Short(), *gpus)
 	fmt.Printf("partition %v over %d waves (wave size %d tiles)\n\n", res.Partition, res.Waves, res.WaveSize)
 	fmt.Printf("%-8s %-7s %-7s %-12s %-12s %s\n", "group", "waves", "tiles", "bytes", "signal", "comm end")
-	for _, g := range res.Groups {
+	bounds := res.Partition.BoundsClamped(res.Plan, res.WaveSize)
+	for g, gt := range res.Groups {
+		b := bounds[g]
 		fmt.Printf("G%-7d %-7d %-7d %-12s %-12v %v\n",
-			g.Group+1, g.Waves, g.Tiles, fmt.Sprintf("%.1f MB", float64(g.Bytes)/1e6), g.SignalAt, g.CommEnd)
+			g+1, b.WaveHi-b.WaveLo, b.Tiles(), fmt.Sprintf("%.1f MB", float64(gt.Bytes)/1e6), gt.SignalAt, gt.CommEnd)
 	}
 	fmt.Printf("\nGEMM end:          %v\n", res.GEMMEnd)
 	fmt.Printf("overlap latency:   %v\n", res.Latency)

@@ -71,9 +71,10 @@ func main() {
 	}
 
 	fmt.Println("\nwave-group exchange timeline:")
-	for _, g := range res.Groups {
+	bounds := res.Partition.BoundsClamped(res.Plan, res.WaveSize)
+	for g, gt := range res.Groups {
 		fmt.Printf("  G%d: %d tiles, max per-rank payload %.1f KB, done at %v\n",
-			g.Group+1, g.Tiles, float64(g.Bytes)/1e3, g.CommEnd)
+			g+1, bounds[g].Tiles(), float64(gt.Bytes)/1e3, gt.CommEnd)
 	}
 
 	// Timing-only runs show the imbalance cost at realistic scale.

@@ -56,9 +56,10 @@ func main() {
 	fmt.Println("all close: overlapped result matches the sequential reference on every GPU")
 
 	fmt.Printf("\n%d waves, partition %v\n", res.Waves, res.Partition)
-	for _, g := range res.Groups {
+	bounds := res.Partition.BoundsClamped(res.Plan, res.WaveSize)
+	for g, gt := range res.Groups {
 		fmt.Printf("  G%d: %d tiles, signaled at %v, communication done at %v\n",
-			g.Group+1, g.Tiles, g.SignalAt, g.CommEnd)
+			g+1, bounds[g].Tiles(), gt.SignalAt, gt.CommEnd)
 	}
 
 	// Performance only matters at realistic scale: rerun timing-only on

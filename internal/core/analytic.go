@@ -71,9 +71,6 @@ func (c *Compiled) ExecAnalytic(v Variant, curve *stats.Curve) (*Result, error) 
 		bytes := float64(int64(b.Tiles())*tileBytes) * imb
 		accM = sim.Max(accP, accM) + sim.Time(curve.Eval(bytes))
 		res.Groups[g] = GroupTiming{
-			Group:    g,
-			Waves:    b.WaveHi - b.WaveLo,
-			Tiles:    b.Tiles(),
 			Bytes:    int64(bytes),
 			SignalAt: accP,
 			CommEnd:  accM,

@@ -163,11 +163,12 @@ func (o *Options) validateVariant() error {
 	return nil
 }
 
-// GroupTiming records the simulated timeline of one wave group.
+// GroupTiming records what an execution measured for one wave group: its
+// payload, when its signal fired and when its collective ended. The group's
+// number is its index in Result.Groups, and its extent in waves and tiles
+// is its bound in Result.Partition.BoundsClamped(Result.Plan,
+// Result.WaveSize), the bounds the execution ran with.
 type GroupTiming struct {
-	Group    int
-	Waves    int
-	Tiles    int
 	Bytes    int64 // per-rank payload (max across ranks)
 	SignalAt sim.Time
 	CommEnd  sim.Time
@@ -191,7 +192,7 @@ type Result struct {
 	// auditable per item.
 	Fidelity Fidelity
 	// Trace holds per-kernel spans when Options.Trace was set.
-	Trace []gpu.Span
+	Trace []gpu.Span `json:",omitempty"`
 
 	funcState *funcState
 }

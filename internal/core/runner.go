@@ -74,13 +74,6 @@ func execute(ctx context.Context, o *Options, plan *gemm.Plan, cm gemm.CostModel
 		Fidelity:  FidelityDES,
 		funcState: fs,
 	}
-	for g, b := range bounds {
-		res.Groups[g] = GroupTiming{
-			Group: g,
-			Waves: b.WaveHi - b.WaveLo,
-			Tiles: b.Tiles(),
-		}
-	}
 
 	// Per-device, per-group ready signals driven by the counting tables.
 	groups := len(bounds)

@@ -61,9 +61,10 @@ func fingerprint(r *core.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lat=%d gemmEnd=%d waveSize=%d waves=%d part=%s tiles=%d\n",
 		r.Latency, r.GEMMEnd, r.WaveSize, r.Waves, r.Partition, r.Plan.Tiles)
-	for _, g := range r.Groups {
+	bounds := r.Partition.BoundsClamped(r.Plan, r.WaveSize)
+	for g, gt := range r.Groups {
 		fmt.Fprintf(&b, "g%d w=%d t=%d bytes=%d sig=%d end=%d\n",
-			g.Group, g.Waves, g.Tiles, g.Bytes, g.SignalAt, g.CommEnd)
+			g, bounds[g].WaveHi-bounds[g].WaveLo, bounds[g].Tiles(), gt.Bytes, gt.SignalAt, gt.CommEnd)
 	}
 	return b.String()
 }

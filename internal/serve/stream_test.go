@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/hw"
 )
 
 // postSweepAccept posts a sweep request with an explicit Accept header.
@@ -294,5 +296,55 @@ func TestHandlerSweepStreamsMixedFidelity(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("mixed stream diverges from the buffered CollectSweep reply")
+	}
+}
+
+// A result frame carries what its execution measured and nothing that
+// follows from it: every group is exactly {Bytes, SignalAt, CommEnd} (its
+// number is its index, its extent follows from Partition and WaveSize),
+// and an untraced result has no Trace key. The 17-group analytic frame of a
+// 4-GPU M4096-N8192-K4096 AllReduce was 1956 bytes when groups restated
+// their number, waves and tiles.
+func TestResultFrameCarriesMeasurementsOnly(t *testing.T) {
+	s, err := New(Config{Plat: hw.RTX4090PCIe(), NGPUs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	st := NewSweepStream[SweepResult](rec)
+	req := SweepRequest{Items: []SweepItem{{M: 4096, N: 8192, K: 4096, Prim: "AR", Fidelity: FidelityAnalytic}}}
+	if err := s.SweepChunk(context.Background(), req, st.Result); err != nil {
+		t.Fatal(err)
+	}
+	frame, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
+	if len(frame) > 1400 {
+		t.Fatalf("result frame is %d bytes, want at most 1400: %s", len(frame), frame)
+	}
+	var fr struct {
+		Result struct {
+			Result map[string]json.RawMessage `json:"result"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(frame, &fr); err != nil {
+		t.Fatal(err)
+	}
+	res := fr.Result.Result
+	if _, ok := res["Trace"]; ok {
+		t.Fatalf("untraced result sends a Trace key: %s", frame)
+	}
+	var groups []map[string]json.RawMessage
+	if err := json.Unmarshal(res["Groups"], &groups); err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 17 {
+		t.Fatalf("%d groups, want 17 (one per wave)", len(groups))
+	}
+	for g, gt := range groups {
+		_, b := gt["Bytes"]
+		_, sig := gt["SignalAt"]
+		_, end := gt["CommEnd"]
+		if len(gt) != 3 || !b || !sig || !end {
+			t.Fatalf("group %d carries %d keys, want exactly Bytes, SignalAt and CommEnd: %s", g, len(gt), res["Groups"])
+		}
 	}
 }

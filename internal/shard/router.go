@@ -263,7 +263,8 @@ func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink ser
 
 // sweepFrames consumes a v2 NDJSON sweep stream: result frames feed the
 // sink as they arrive, a done frame completes the chunk, and an error frame
-// ends it through wireError.
+// ends it through wireError. A result frame must carry its execution's
+// result, so no sink ever sees a nil *core.Result.
 func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 	dec := json.NewDecoder(body)
 	for {
@@ -276,7 +277,7 @@ func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 		}
 		switch fr.Frame {
 		case serve.FrameResult:
-			if fr.Result == nil {
+			if fr.Result == nil || fr.Result.Result == nil {
 				return fmt.Errorf("shard: %s/sweep: result frame without a result", c.Base)
 			}
 			if err := sink(fr.Index, *fr.Result); err != nil {

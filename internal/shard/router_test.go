@@ -21,7 +21,7 @@ import (
 // tests up and mirrors a production sharded rollout.
 var testCurve *stats.Curve
 
-func sharedCurves(t *testing.T) map[hw.Primitive]*stats.Curve {
+func sharedCurves(t testing.TB) map[hw.Primitive]*stats.Curve {
 	t.Helper()
 	if testCurve == nil {
 		testCurve = tuner.SampleBandwidthCurve(hw.RTX4090PCIe(), 2, hw.AllReduce, nil)
