@@ -149,23 +149,35 @@ func NewPlan(s Shape, cfg Config) (*Plan, error) {
 	return p, nil
 }
 
-// UnmarshalJSON decodes a plan's definition and rebuilds the plan with
-// NewPlan, so a decoded plan is indistinguishable from an in-process one.
-// It rejects a definition NewPlan rejects (MaxTiles included) and a tile
-// grid that disagrees with the rebuilt one, and writes p only on success.
+// RebuildPlan rebuilds the plan a definition describes — its Shape, Cfg
+// and tile grid, the fields of a plan's JSON form — with NewPlan, so a
+// decoded plan is indistinguishable from an in-process one. It rejects a
+// definition NewPlan rejects (MaxTiles included) and a tile grid that
+// disagrees with the rebuilt one. Every decoder of a plan calls it, so one
+// rule validates a plan off the wire.
+func RebuildPlan(def Plan) (*Plan, error) {
+	p, err := NewPlan(def.Shape, def.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	if def.RowTiles != p.RowTiles || def.ColTiles != p.ColTiles || def.Tiles != p.Tiles {
+		return nil, fmt.Errorf("gemm: plan grid %dx%d (%d tiles) disagrees with %v in %dx%d tiles (%dx%d, %d tiles)",
+			def.RowTiles, def.ColTiles, def.Tiles, def.Shape, def.Cfg.TileM, def.Cfg.TileN, p.RowTiles, p.ColTiles, p.Tiles)
+	}
+	return p, nil
+}
+
+// UnmarshalJSON decodes a plan's definition and rebuilds it with
+// RebuildPlan. It writes p only on success.
 func (p *Plan) UnmarshalJSON(data []byte) error {
 	type definition Plan // no methods: decoding it does not recurse
 	var d definition
 	if err := json.Unmarshal(data, &d); err != nil {
 		return err
 	}
-	q, err := NewPlan(d.Shape, d.Cfg)
+	q, err := RebuildPlan(Plan(d))
 	if err != nil {
 		return err
-	}
-	if d.RowTiles != q.RowTiles || d.ColTiles != q.ColTiles || d.Tiles != q.Tiles {
-		return fmt.Errorf("gemm: plan grid %dx%d (%d tiles) disagrees with %v in %dx%d tiles (%dx%d, %d tiles)",
-			d.RowTiles, d.ColTiles, d.Tiles, d.Shape, d.Cfg.TileM, d.Cfg.TileN, q.RowTiles, q.ColTiles, q.Tiles)
 	}
 	*p = *q
 	return nil

@@ -412,8 +412,9 @@ func translateChunkError(err error, remainIdx []int) error {
 //   - partial-chunk salvage: the items a failing replica streamed back are
 //     kept and only the unanswered rest is re-dispatched, so replicas[j],
 //     the replica that answered results[j], may differ across the chunk;
-//   - a malformed reply (an index out of range or twice, or a clean end
-//     short of the chunk) stops the chunk at once with a bare error, and
+//   - a malformed reply (an index out of range or twice, a clean end
+//     short of the chunk, or a stream that breaks the frame grammar, see
+//     errMalformedReply) stops the chunk at once with a bare error, and
 //     its replica, which answered, stays healthy;
 //   - a pass that admitted nobody waits instead of failing while another
 //     caller's trial is in flight, or, with a budget beyond the fleet size,
@@ -460,7 +461,11 @@ func (c *Coordinator) dispatch(ctx context.Context, origin int, items []serve.Sw
 			got++
 			return nil
 		})
-		if malformed == nil && err == nil && got != len(sub) {
+		switch {
+		case malformed != nil:
+		case errors.Is(err, errMalformedReply):
+			malformed = err
+		case err == nil && got != len(sub):
 			malformed = fmt.Errorf("shard: replica %d answered %d of %d chunk items", replica, got, len(sub))
 		}
 		if malformed != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"context"
@@ -236,8 +237,8 @@ func (c *HTTPClient) Query(ctx context.Context, q serve.Query) (serve.Answer, er
 // result frame into sink as it arrives — the replica's completed items
 // reach the coordinator even when the replica dies mid-chunk. Every replica
 // and router in this repository answers that negotiation with v2, so a 200
-// reply is always read as a frame stream; a buffered v1 body fails as an
-// unknown frame. A non-200 reply (the request was rejected before
+// reply is always read as a frame stream; a buffered v1 body fails as a
+// malformed reply. A non-200 reply (the request was rejected before
 // executing) and an error frame both decode through wireError.
 func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
 	body, err := json.Marshal(req)
@@ -261,24 +262,48 @@ func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink ser
 	return c.sweepFrames(resp.Body, sink)
 }
 
-// sweepFrames consumes a v2 NDJSON sweep stream: result frames feed the
-// sink as they arrive, a done frame completes the chunk, and an error frame
-// ends it through wireError. A result frame must carry its execution's
-// result, so no sink ever sees a nil *core.Result.
+// errMalformedReply marks a v2 reply that breaks the frame grammar: a
+// line that does not decode, a result frame without a result, or a frame
+// of an unknown kind. The replica answered, so it stays healthy, and the
+// chunk stops (see Coordinator.dispatch).
+var errMalformedReply = errors.New("malformed reply")
+
+// sweepFrames consumes a v2 NDJSON sweep stream one line at a time, each
+// line decoded by serve.DecodeSweepFrame: result frames feed the sink as
+// they arrive, a done frame completes the chunk, and an error frame ends
+// it through wireError. A result frame must carry its execution's result,
+// so no sink ever sees a nil *core.Result. A newline-terminated line that
+// breaks the grammar is a malformed reply. Bytes after the last newline
+// when the body ends are a truncated stream, a transport failure — unless
+// they decode as a frame. The reader stops at the terminal frame without
+// waiting for more, and sees the body's end when it arrives in the same
+// read, so the connection can serve the next chunk.
 func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
-	dec := json.NewDecoder(body)
-	for {
+	br := bufio.NewReader(body)
+	var long []byte // a line longer than br's buffer, gathered
+	for n := 1; ; n++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		var fr serve.SweepFrame
-		if err := dec.Decode(&fr); err != nil {
-			// Truncation before the terminal frame is a transport
-			// failure: the replica died mid-stream. Items already
-			// delivered stand as salvage.
-			return fmt.Errorf("shard: %s/sweep: stream ended before its terminal frame: %w", c.Base, err)
+		if derr := serve.DecodeSweepFrame(line, &fr); derr != nil {
+			if err != nil {
+				// The replica died mid-stream. Items already delivered
+				// stand as salvage.
+				return fmt.Errorf("shard: %s/sweep: stream ended before its terminal frame: %w", c.Base, err)
+			}
+			return fmt.Errorf("shard: %s/sweep: %w: line %d: %v", c.Base, errMalformedReply, n, derr)
 		}
 		switch fr.Frame {
 		case serve.FrameResult:
 			if fr.Result == nil || fr.Result.Result == nil {
-				return fmt.Errorf("shard: %s/sweep: result frame without a result", c.Base)
+				return fmt.Errorf("shard: %s/sweep: %w: result frame without a result", c.Base, errMalformedReply)
 			}
 			if err := sink(fr.Index, *fr.Result); err != nil {
 				return err
@@ -288,7 +313,7 @@ func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 		case serve.FrameError:
 			return c.wireError("/sweep", nil, fr.Error)
 		default:
-			return fmt.Errorf("shard: %s/sweep: unknown frame %q", c.Base, fr.Frame)
+			return fmt.Errorf("shard: %s/sweep: %w: unknown frame %q", c.Base, errMalformedReply, fr.Frame)
 		}
 	}
 }
