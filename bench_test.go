@@ -440,41 +440,24 @@ func BenchmarkEngineAnalyticExec(b *testing.B) {
 }
 
 // Mixed-fidelity sweep throughput: the quick Table 3 shapes crossed with
-// AR/RS/A2A, swept through the sharded mixed pipeline (whole grid analytic,
-// DES only for the top-k per rank cell) and, for comparison, at full DES
-// fidelity. The headline mixed-sweep-ns/item is a fastest-batch measurement
-// over warm caches; mixed-speedup-vs-des is the quantity the mixed mode
-// exists for and must stay well above 1.
+// AR/RS/A2A, swept on one engine through engine.MixedBatch (whole grid
+// analytic, DES only for the top-k per rank cell) and, for comparison,
+// through a full-DES engine.Batch. The headline mixed-sweep-ns/item is a
+// fastest-batch measurement over warm caches; mixed-speedup-vs-des is the
+// quantity the mixed mode exists for and must stay well above 1.
 func BenchmarkMixedFidelitySweep(b *testing.B) {
-	seen := map[gemm.Shape]bool{}
-	var shapes []gemm.Shape
-	for _, grid := range expt.Table3Grids(true) {
-		for _, s := range grid.Shapes {
-			if !seen[s] {
-				seen[s] = true
-				shapes = append(shapes, s)
-			}
-		}
-	}
-	var runs []core.Options
-	for _, s := range shapes {
-		for _, p := range []hw.Primitive{hw.AllReduce, hw.ReduceScatter, hw.AllToAll} {
-			runs = append(runs, core.Options{Plat: hw.RTX4090PCIe(), NGPUs: 2, Shape: s, Prim: p, Imbalance: imbalanceFor(p)})
-		}
-	}
-	const shards = 4
-	part := shard.NewPartitioner(shards)
-	engines := shard.Engines(shards, 0, 0)
+	runs := quickMixedGrid()
+	eng := engine.New(0, 0)
 	desRuns := make([]core.Options, len(runs))
 	for i, o := range runs {
 		o.Fidelity = core.FidelityDES
 		desRuns[i] = o
 	}
 	// Warm both tiers' plan caches and the analytic curve caches.
-	if _, _, err := shard.SweepBatchMixed(context.Background(), part, engines, runs, 0, 0); err != nil {
+	if _, _, err := eng.MixedBatch(context.Background(), runs, 0, 0); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := shard.SweepBatch(context.Background(), part, engines, desRuns); err != nil {
+	if _, err := eng.Batch(context.Background(), desRuns); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -485,7 +468,7 @@ func BenchmarkMixedFidelitySweep(b *testing.B) {
 		const batches = 4
 		for batch := 0; batch < batches; batch++ {
 			start := time.Now()
-			results, refined, err := shard.SweepBatchMixed(context.Background(), part, engines, runs, 0, 0)
+			results, refined, err := eng.MixedBatch(context.Background(), runs, 0, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -499,7 +482,7 @@ func BenchmarkMixedFidelitySweep(b *testing.B) {
 				}
 			}
 			start = time.Now()
-			if _, err := shard.SweepBatch(context.Background(), part, engines, desRuns); err != nil {
+			if _, err := eng.Batch(context.Background(), desRuns); err != nil {
 				b.Fatal(err)
 			}
 			if ns := time.Since(start).Nanoseconds(); ns < bestDES {
@@ -564,33 +547,43 @@ func BenchmarkServeWarmQuery(b *testing.B) {
 	b.ReportMetric(float64(best)/perBatch, "warm-ns/query")
 }
 
-// Sharded sweep throughput: the quick Table 3 grid split across shard-local
-// engines must merge back to the unsharded batch results (the router layer's
-// scaling primitive). The benchmark reports per-run cost at fleet width 4 so
-// the perf record tracks the sharding overhead, not just raw DES speed.
+// Sharded sweep throughput: the quick Table 3 grid swept by one Coordinator
+// per platform, each over four fresh in-process replicas (LocalClients, cold
+// plan caches), must merge back to one result per run. The benchmark
+// reports per-run cost at fleet width 4 so the perf record tracks the
+// sharding overhead, not just raw DES speed.
 func BenchmarkShardSweepBatch(b *testing.B) {
-	var runs []core.Options
+	var grids [][]core.Options // one per platform
 	for _, grid := range expt.Table3Grids(true) {
+		if len(grids) == 0 || grids[len(grids)-1][0].Plat.Name != grid.Plat.Name {
+			grids = append(grids, nil)
+		}
 		for _, shape := range grid.Shapes {
-			runs = append(runs, core.Options{Plat: grid.Plat, NGPUs: 4, Shape: shape, Prim: grid.Prim, Imbalance: imbalanceFor(grid.Prim)})
+			grids[len(grids)-1] = append(grids[len(grids)-1], core.Options{Plat: grid.Plat, NGPUs: 4, Shape: shape, Prim: grid.Prim, Imbalance: imbalanceFor(grid.Prim)})
 		}
 	}
 	const shards = 4
-	part := shard.NewPartitioner(shards)
+	runs := 0
+	for _, g := range grids {
+		runs += len(g)
+	}
 	b.ResetTimer()
 	var sweepNs int64
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		results, err := shard.SweepBatch(context.Background(), part, shard.Engines(shards, 0, 0), runs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sweepNs += time.Since(start).Nanoseconds()
-		if len(results) != len(runs) {
-			b.Fatalf("%d results for %d runs", len(results), len(runs))
+		for _, g := range grids {
+			co := localCoordinator(b, g[0].Plat, g[0].NGPUs, shards)
+			start := time.Now()
+			results, err := co.Sweep(context.Background(), sweepItems(g))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sweepNs += time.Since(start).Nanoseconds()
+			if len(results) != len(g) {
+				b.Fatalf("%d results for %d runs", len(results), len(g))
+			}
 		}
 	}
-	b.ReportMetric(float64(sweepNs)/(float64(b.N)*float64(len(runs))), "sweep-ns/run")
+	b.ReportMetric(float64(sweepNs)/(float64(b.N)*float64(runs)), "sweep-ns/run")
 	b.ReportMetric(shards, "shards")
 }
 
@@ -628,8 +621,8 @@ func BenchmarkServeConcurrentQuery(b *testing.B) {
 // dispatched in chunks across an in-process fleet (LocalClients, no
 // network), so the number isolates the coordinator's partition/chunk/merge
 // machinery plus the replicas' sweep execution rather than HTTP transport.
-// The reported sweep-ns/item is the multi-host analogue of
-// BenchmarkShardSweepBatch's sweep-ns/run.
+// The reported sweep-ns/item is the chunked, AllReduce-only counterpart
+// of BenchmarkShardSweepBatch's sweep-ns/run.
 func BenchmarkCoordinatorSweep(b *testing.B) {
 	const shards = 4
 	curve := tuner.SampleBandwidthCurve(hw.RTX4090PCIe(), 2, hw.AllReduce, nil)

@@ -36,8 +36,10 @@
 // only the top -topk per bucket through the simulator — the fast-path sweep
 // for large grids where only the winners need simulator-grade confirmation.
 // Every result carries its fidelity label, and -verify understands all three
-// modes: DES results are byte-compared against a local simulator replay and
-// analytic results against a local predictor evaluation.
+// modes: a des or analytic sweep must label every result with the requested
+// fidelity and match a local replay at it, and an untuned mixed sweep must
+// match a local engine.MixedBatch label for label and byte for byte, so the
+// check covers which items the fleet refined, not only how each executed.
 //
 // sweep also composes with cmd/route: pointing -replicas at a single
 // router URL treats the router as a one-replica fleet, and the router's
@@ -45,6 +47,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -191,42 +194,64 @@ func main() {
 		len(items), nDES, nAnalytic, len(urls), elapsed.Round(time.Millisecond), perItem.Round(time.Microsecond), co.Redispatches(), co.PartialSalvages())
 
 	if *verify {
-		fatal(verifyAgainstLocal(*platName, *gpus, items, results))
-		log.Printf("verify: merged results byte-identical to local engine.Batch over %d runs (%d des, %d analytic)", len(items), nDES, nAnalytic)
+		fatal(verifyAgainstLocal(*platName, *gpus, co.Spec, items, results))
+		log.Printf("verify: merged results byte-identical to a local replay over %d runs (%d des, %d analytic)", len(items), nDES, nAnalytic)
 	}
 }
 
 // verifyAgainstLocal replays the grid on an in-process engine and compares
 // the serialized results byte for byte — the same determinism check the
-// shard package pins in tests, but across real hosts. Tuned sweeps replay
-// with the partitions the fleet chose, so the check still validates
-// cross-host execution determinism. Each item replays at the fidelity the
-// fleet reported for it, so a mixed sweep verifies both tiers: the DES
-// refine tier against a local simulator, the analytic tier against a local
-// predictor evaluation over independently sampled (deterministic) curves.
-func verifyAgainstLocal(platName string, gpus int, items []serve.SweepItem, results []shard.SweepResult) error {
+// shard package pins in tests, but across real hosts. What the replay runs
+// follows the requested fidelity, not the labels the fleet reported:
+//   - des or analytic: every result must carry that label, and the grid
+//     replays at it;
+//   - mixed, untuned: the grid replays through engine.MixedBatch with the
+//     sweep's -topk and -rank-quantum, so a fleet that refined the wrong
+//     items, or none, fails on its labels;
+//   - mixed, tuned: ranking ran over tuned partitions no local engine
+//     reproduces, so each item replays at the fidelity the fleet reported.
+//
+// Tuned sweeps replay with the partitions the fleet chose, so the check
+// still validates cross-host execution determinism.
+func verifyAgainstLocal(platName string, gpus int, spec shard.SweepSpec, items []serve.SweepItem, results []shard.SweepResult) error {
 	plat, err := hw.ByName(platName)
 	if err != nil {
 		return err
 	}
+	mixed := spec.Fidelity == serve.FidelityMixed
+	want := cmp.Or(spec.Fidelity, serve.FidelityDES)
 	runs := make([]core.Options, len(items))
 	for i, it := range items {
 		q, err := it.Query()
 		if err != nil {
 			return err
 		}
-		runs[i] = core.Options{Plat: plat, NGPUs: gpus, Shape: q.Shape, Prim: q.Prim, Imbalance: q.Imbalance, Fidelity: core.Fidelity(results[i].Fidelity)}
+		if !mixed && results[i].Fidelity != want {
+			return fmt.Errorf("verify: item %d labeled %q, want the requested %q", i, results[i].Fidelity, want)
+		}
+		runs[i] = core.Options{Plat: plat, NGPUs: gpus, Shape: q.Shape, Prim: q.Prim, Imbalance: q.Imbalance}
+		if !mixed || spec.Tune {
+			runs[i].Fidelity = core.Fidelity(results[i].Fidelity)
+		}
 		if len(results[i].Partition) > 0 && results[i].Source != "" {
 			// Tuned sweep: replay the fleet's partition choice.
 			runs[i].Partition = append([]int(nil), results[i].Partition...)
 		}
 	}
-	local, err := engine.New(0, 0).Batch(context.Background(), runs)
+	var local []*core.Result
+	if mixed && !spec.Tune {
+		local, _, err = engine.New(0, 0).MixedBatch(context.Background(), runs, spec.TopK, spec.RankQuantum)
+	} else {
+		local, err = engine.New(0, 0).Batch(context.Background(), runs)
+	}
 	if err != nil {
 		return fmt.Errorf("local replay failed (do -platform/-gpus match the fleet?): %w", err)
 	}
 	remote := make([]*core.Result, len(results))
 	for i, res := range results {
+		if res.Fidelity != string(local[i].Fidelity) {
+			return fmt.Errorf("verify: item %d labeled %q, local replay ran it at %q", i, res.Fidelity, local[i].Fidelity)
+		}
 		remote[i] = res.Result
 	}
 	remoteJSON, err := json.Marshal(remote)
@@ -238,7 +263,7 @@ func verifyAgainstLocal(platName string, gpus int, items []serve.SweepItem, resu
 		return err
 	}
 	if string(remoteJSON) != string(localJSON) {
-		return fmt.Errorf("verify: merged fleet results diverge from local engine.Batch (platform/gpus mismatch, or non-deterministic replica)")
+		return fmt.Errorf("verify: merged fleet results diverge from the local replay (platform/gpus mismatch, or non-deterministic replica)")
 	}
 	return nil
 }

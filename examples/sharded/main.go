@@ -1,22 +1,24 @@
 // Sharded: the multi-replica deployment of the tuning service — a shape-hash
 // router in front of N serve replicas, each owning a disjoint slice of the
 // (log M·N, log K) plane. The example builds a three-replica fleet over real
-// HTTP, pre-warms each replica with only its owned shapes, drives a sharded
-// tune sweep through the router, kills a replica to show ring failover, and
-// finally runs the sharded engine sweep, verifying it merges to exactly the
+// HTTP, pre-warms each replica with only its owned shapes, routes a tune
+// query per shape through the router, kills a replica to show ring
+// failover, and finally sweeps the shapes through a shard.Coordinator over
+// the degraded fleet, verifying the merge is byte-identical to the
 // unsharded engine.Batch results.
 //
 //	go run ./examples/sharded
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -92,20 +94,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A sharded tune sweep: every query lands on its owner, shards tune
-	// concurrently, answers come back in input order.
-	queries := make([]serve.Query, len(representative))
-	for i, s := range representative {
-		queries[i] = serve.Query{Shape: s, Prim: hw.AllReduce}
-	}
-	answers, err := router.SweepQueries(ctx, queries)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsharded tune sweep over %d shapes:\n", len(queries))
-	for i, ans := range answers {
+	// Routed tune queries: every query lands on its owner, whose cache
+	// was warmed for it.
+	fmt.Printf("\nrouted tune queries over %d shapes:\n", len(representative))
+	for _, s := range representative {
+		ans, err := router.Query(ctx, serve.Query{Shape: s, Prim: hw.AllReduce})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-18v -> shard %d  partition %-12v source %s\n",
-			queries[i].Shape, ans.Replica, ans.Partition, ans.Source)
+			s, ans.Replica, ans.Partition, ans.Source)
 	}
 	st := router.Stats(ctx)
 	fmt.Printf("merged fleet stats: %d hits, %d misses, %d shapes cached across %d replicas\n",
@@ -123,26 +121,42 @@ func main() {
 	fmt.Printf("\nreplica %d down: %v rerouted to replica %d (source %s, %d failovers recorded)\n",
 		victim, victimShape, ans.Replica, ans.Source, router.Stats(ctx).Failovers)
 
-	// The sharded engine sweep: split the quick Table 3 grid across
-	// shard-local engines (disjoint plan caches, like separate processes)
-	// and verify the merged results are identical to one big engine.Batch.
+	// The sharded sweep: a Coordinator splits the grid by ownership,
+	// dispatches chunks over /sweep, fails the dead replica's chunks over
+	// through the ring, and merges the results back into grid order —
+	// byte-identical to one in-process engine.Batch.
 	runs := make([]core.Options, len(representative))
+	items := make([]serve.SweepItem, len(representative))
 	for i, s := range representative {
 		runs[i] = core.Options{Plat: plat, NGPUs: nGPUs, Shape: s, Prim: hw.AllReduce}
+		items[i] = serve.SweepItem{M: s.M, N: s.N, K: s.K, Prim: hw.AllReduce.Short()}
 	}
 	unsharded, err := engine.New(0, 0).Batch(ctx, runs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sharded, err := shard.SweepBatch(ctx, part, shard.Engines(nShards, 0, 0), runs)
+	co := shard.NewCoordinator(router)
+	swept, err := co.Sweep(ctx, items)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !reflect.DeepEqual(sharded, unsharded) {
+	sharded := make([]*core.Result, len(swept))
+	for i, res := range swept {
+		sharded[i] = res.Result
+	}
+	want, err := json.Marshal(unsharded)
+	if err != nil {
+		log.Fatal(err)
+	}
+	got, err := json.Marshal(sharded)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
 		log.Fatal("sharded sweep diverged from unsharded engine.Batch")
 	}
-	fmt.Printf("\nsharded engine sweep: %d runs across %d shards merged byte-identical to engine.Batch\n",
-		len(runs), nShards)
+	fmt.Printf("\nsharded sweep with replica %d down: %d runs across %d shards merged byte-identical to engine.Batch (chunk re-dispatches: %d)\n",
+		victim, len(runs), nShards, co.Redispatches())
 
 	for i, srv := range servers {
 		if i != victim {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/hw"
 )
 
@@ -70,7 +71,8 @@ func TestHandlerSweepPerItemFidelity(t *testing.T) {
 // A request-level mixed sweep runs the whole posted grid analytically, ranks
 // per cell, confirms the top-k at DES, and splices — one replica answering
 // the same wire request a router-proxied fleet would, byte-identically to
-// the in-process SweepChunk.
+// the in-process SweepChunk and, label for label, to the reference
+// engine.MixedBatch over the same grid.
 func TestHandlerSweepMixed(t *testing.T) {
 	s := testService(t)
 	srv := httptest.NewServer(Handler(s))
@@ -122,6 +124,74 @@ func TestHandlerSweepMixed(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("mixed sweep diverges from the in-process SweepChunk after the HTTP round-trip")
+	}
+
+	runs := make([]core.Options, len(items))
+	for i, it := range items {
+		runs[i] = core.Options{Plat: s.cfg.Plat, NGPUs: s.cfg.NGPUs, Shape: it.Shape(), Prim: hw.AllReduce}
+	}
+	refRes, _, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replied := make([]*core.Result, len(sr.Results))
+	for i, res := range sr.Results {
+		if res.Fidelity != string(refRes[i].Fidelity) {
+			t.Fatalf("result %d labeled %q, engine.MixedBatch ran it at %q", i, res.Fidelity, refRes[i].Fidelity)
+		}
+		replied[i] = res.Result
+	}
+	got, err = json.Marshal(replied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = json.Marshal(refRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("replica's mixed reply diverges from engine.MixedBatch")
+	}
+}
+
+// A mixed chunk is all-or-nothing: a bad item fails the chunk before any
+// result leaves — no v1 results ride along with the error, and no result
+// frame precedes the v2 error frame — and the error names the bad item.
+func TestHandlerSweepMixedBadItemEmitsNothing(t *testing.T) {
+	s := testService(t)
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	items := []SweepItem{
+		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
+		{M: 4096, N: 8192, K: 4096, Prim: "AR"},
+		{M: 4096, N: 8192, K: 8192, Prim: "AR"},
+		{M: 0, N: 8192, K: 4096, Prim: "AR"},
+		{M: 8192, N: 8192, K: 4096, Prim: "AR"},
+	}
+	req := SweepRequest{SweepSpec: SweepSpec{Fidelity: FidelityMixed}, Items: items}
+
+	resp := postSweep(t, srv.URL, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("v1 status = %d, want 422", resp.StatusCode)
+	}
+	var env ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if body := env.Error; len(body.Results) != 0 {
+		t.Fatalf("v1 error carries %d results, want none", len(body.Results))
+	} else if body.Index == nil || *body.Index != 3 {
+		t.Fatalf("v1 error index = %v, want 3", body.Index)
+	}
+
+	frames := decodeFrames(t, postSweepAccept(t, srv.URL, ContentTypeNDJSON, req))
+	if len(frames) != 1 || frames[0].Frame != FrameError {
+		t.Fatalf("v2 frames %+v, want a lone error frame", frames)
+	}
+	if ef := frames[0]; ef.Salvaged != 0 || ef.Error.Index == nil || *ef.Error.Index != 3 {
+		t.Fatalf("v2 error frame %+v (index %v), want salvaged 0 and index 3", ef, ef.Error.Index)
 	}
 }
 

@@ -255,24 +255,18 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 	return mux
 }
 
-// frameResult is the result type a v2 stream carries: SweepResult, or a
-// type embedding it (the router's attributed result).
-type frameResult interface{ frameFidelity() string }
-
-func (r SweepResult) frameFidelity() string { return r.Fidelity }
-
 // SweepStream writes one v2 /sweep reply, for a replica and for the router
 // alike: a result frame per result as it arrives, then one terminal frame.
 // The 200 is committed before the sweep runs, so a failure's classification
 // travels in the error frame's retryable bit, not in a status class.
-type SweepStream[R frameResult] struct {
+type SweepStream[R sweepResult] struct {
 	enc     *json.Encoder
 	flusher http.Flusher
 	count   int
 }
 
 // NewSweepStream commits the reply's 200 and NDJSON content type.
-func NewSweepStream[R frameResult](w http.ResponseWriter) *SweepStream[R] {
+func NewSweepStream[R sweepResult](w http.ResponseWriter) *SweepStream[R] {
 	w.Header().Set("Content-Type", ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -196,11 +196,9 @@ type SweepSink func(index int, res SweepResult) error
 // exactly the completed prefix [0, Index) has been emitted — the emitted
 // results are the partial-chunk salvage — and the failing item's
 // chunk-local index is reported as a *ChunkError. A request-level "mixed"
-// fidelity runs the whole posted grid analytically, ranks per
-// engine.RankTopK cell, re-runs the top TopK per cell at DES fidelity, and
-// splices; the tiers interleave, so a mixed chunk emits only once every
-// result is final (still in ascending index order) and a failed mixed chunk
-// emits nothing.
+// fidelity runs SweepMixed over the posted grid; the tiers interleave, so a
+// mixed chunk emits only once every result is final (still in ascending
+// index order) and a failed mixed chunk emits nothing.
 //
 // Each item executes at its resolved fidelity (item label, else the
 // request default): DES through a private deterministic simulator, analytic
@@ -251,9 +249,31 @@ func (s *Service) SweepChunk(ctx context.Context, req SweepRequest, sink SweepSi
 func (s *Service) sweepChunk(ctx context.Context, req SweepRequest, sink SweepSink) error {
 	switch req.Fidelity {
 	case "", FidelityDES, FidelityAnalytic:
-		return s.sweepChunkFlat(ctx, req, sink)
+		return s.sweepItems(ctx, req, indices(len(req.Items)), sink)
 	case FidelityMixed:
-		return s.sweepChunkMixed(ctx, req, sink)
+		// The tiers interleave, so the reply waits for both: every result
+		// in ascending order, or none.
+		out := make([]SweepResult, len(req.Items))
+		err := SweepMixed(req.SweepSpec, req.Items, func(idxs []int, fid string, emit func(int, SweepResult) error) error {
+			tier := req
+			tier.Fidelity = fid
+			return s.sweepItems(ctx, tier, idxs, emit)
+		}, func(i int, res SweepResult) error {
+			out[i] = res
+			return nil
+		}, func(i int, err error) error {
+			// The buffer never fails: err rejects a pre-labelled item.
+			return &ChunkError{Index: i, Err: fmt.Errorf("serve: %w", err)}
+		})
+		if err != nil {
+			return err
+		}
+		for i, res := range out {
+			if err := sink(i, res); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	return &ChunkError{Index: 0, Err: badQueryf("serve: unknown sweep fidelity %q (want %q, %q, or %q)", req.Fidelity, FidelityDES, FidelityAnalytic, FidelityMixed)}
 }
@@ -270,10 +290,13 @@ func (s *Service) CollectSweep(ctx context.Context, req SweepRequest) ([]SweepRe
 	return out, err
 }
 
-// sweepChunkFlat is the single-tier chunk loop: every item executes at its
-// own resolved fidelity and is emitted as soon as it completes.
-func (s *Service) sweepChunkFlat(ctx context.Context, req SweepRequest, sink SweepSink) error {
-	for i, it := range req.Items {
+// sweepItems is the single-tier chunk loop: the items at idxs execute in
+// order, each at its own resolved fidelity, and each result is emitted as
+// soon as it completes. Results and failures name their item by its index
+// in req.Items.
+func (s *Service) sweepItems(ctx context.Context, req SweepRequest, idxs []int, sink SweepSink) error {
+	for _, i := range idxs {
+		it := req.Items[i]
 		if err := ctx.Err(); err != nil {
 			return &ChunkError{Index: i, Err: err}
 		}
@@ -319,69 +342,78 @@ func (s *Service) sweepChunkFlat(ctx context.Context, req SweepRequest, sink Swe
 	return nil
 }
 
-// collectFlat buffers a flat sub-chunk — the mixed orchestration needs the
-// whole analytic tier in hand before it can rank.
-func (s *Service) collectFlat(ctx context.Context, req SweepRequest) ([]SweepResult, error) {
-	out := make([]SweepResult, 0, len(req.Items))
-	err := s.sweepChunkFlat(ctx, req, func(_ int, res SweepResult) error {
-		out = append(out, res)
-		return nil
-	})
-	return out, err
+// indices returns 0, 1, ..., n-1: a whole grid's indices.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
-// sweepChunkMixed runs the request's grid at mixed fidelity within this
-// replica: analytic pass, per-cell ranking, DES confirmation of the top-k,
-// splice. The coordinator never sends this (it orchestrates the tiers
-// itself, stamping items); it serves direct /sweep clients, so a single
-// replica and a router proxy answer the same wire request the same way.
-// Ranking is global over the posted grid, so the mixed path inherently
-// buffers O(grid) before emitting — the streaming bound applies to the
-// flat tiers a coordinator dispatches.
-func (s *Service) sweepChunkMixed(ctx context.Context, req SweepRequest, sink SweepSink) error {
-	for i, it := range req.Items {
+// sweepResult is a sweep's result type: SweepResult, or a type embedding it
+// (the coordinator's attributed result). It is what a v2 stream carries and
+// what the mixed policy ranks.
+type sweepResult interface {
+	frameFidelity() string
+	latency() sim.Time
+}
+
+func (r SweepResult) frameFidelity() string { return r.Fidelity }
+func (r SweepResult) latency() sim.Time     { return r.Result.Latency }
+
+// SweepMixed is the mixed-fidelity sweep policy, the one copy a replica's
+// mixed chunk and a coordinator's mixed sweep both run: reject an item that
+// carries its own fidelity label, run the whole grid analytically, rank
+// each engine.RankTopK cell by analytic latency, hand every unrefined
+// result to sink, then run the top spec.TopK per cell at DES fidelity.
+// Every index reaches sink exactly once: the unrefined ones in ascending
+// order as soon as the ranking resolves, the refined ones as run reports
+// them. Ranking is global over the grid, so the analytic tier is buffered,
+// O(grid).
+//
+// run executes a tier: the grid items at idxs (ascending), each at
+// fidelity fid, reporting every result to emit by its grid index as it
+// completes. A replica runs the items in order on its engine; a
+// coordinator dispatches them in chunks across its fleet. A failure of run
+// returns as run named it, by grid index, so no caller translates an
+// index. fail names the policy's own failures at grid index i in the
+// caller's error convention: a pre-labelled item (a *BadQueryError) or a
+// sink error during the hand-over.
+//
+// engine.MixedBatch implements the same policy over one engine and stays
+// apart from this one: it is the reference the sharded paths are checked
+// against.
+func SweepMixed[R sweepResult](spec SweepSpec, items []SweepItem, run func(idxs []int, fid string, emit func(i int, res R) error) error, sink func(i int, res R) error, fail func(i int, err error) error) error {
+	for i, it := range items {
 		if it.Fidelity != "" {
-			return &ChunkError{Index: i, Err: badQueryf("serve: mixed sweep item carries fidelity %q; the mixed policy assigns fidelities itself", it.Fidelity)}
+			return fail(i, badQueryf("mixed sweep item carries fidelity %q; the mixed policy assigns fidelities itself", it.Fidelity))
 		}
 	}
-	analytic := req
-	analytic.Fidelity = FidelityAnalytic
-	// A failure drops the partial prefix: the mixed reply interleaves
-	// tiers, so an analytic prefix is not a final prefix of the answer.
-	out, err := s.collectFlat(ctx, analytic)
+	out := make([]R, len(items))
+	err := run(indices(len(items)), FidelityAnalytic, func(i int, res R) error {
+		out[i] = res
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	shapes := make([]gemm.Shape, len(out))
-	latencies := make([]sim.Time, len(out))
-	for i, r := range out {
-		shapes[i] = req.Items[i].Shape()
-		latencies[i] = r.Result.Latency
-	}
-	quantum := req.RankQuantum
-	if quantum <= 0 {
-		quantum = engine.DefaultRankQuantum
-	}
-	refined := engine.RankTopK(shapes, latencies, req.TopK, quantum)
-	des := SweepRequest{SweepSpec: SweepSpec{Tune: req.Tune, Fidelity: FidelityDES, Tenant: req.Tenant}, Items: make([]SweepItem, len(refined))}
-	for j, gi := range refined {
-		des.Items[j] = req.Items[gi]
-	}
-	desOut, err := s.collectFlat(ctx, des)
-	if err != nil {
-		var ce *ChunkError
-		if errors.As(err, &ce) && ce.Index >= 0 && ce.Index < len(refined) {
-			err = &ChunkError{Index: refined[ce.Index], Err: ce.Err}
-		}
-		return err
-	}
-	for j, gi := range refined {
-		out[gi] = desOut[j]
-	}
+	shapes := make([]gemm.Shape, len(items))
+	latencies := make([]sim.Time, len(items))
 	for i, res := range out {
+		shapes[i] = items[i].Shape()
+		latencies[i] = res.latency()
+	}
+	refined := engine.RankTopK(shapes, latencies, spec.TopK, spec.RankQuantum)
+	next := 0 // refined is ascending: refined[next] is the next one to skip
+	for i, res := range out {
+		if next < len(refined) && refined[next] == i {
+			next++
+			continue
+		}
 		if err := sink(i, res); err != nil {
-			return err
+			return fail(i, err)
 		}
 	}
-	return nil
+	return run(refined, FidelityDES, sink)
 }

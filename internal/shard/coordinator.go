@@ -8,10 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/gemm"
 	"repro/internal/serve"
-	"repro/internal/sim"
 )
 
 // DefaultChunkSize bounds the items per dispatched sweep chunk when the
@@ -30,14 +27,15 @@ const DefaultChunkSize = 8
 // silently resetting to a default at the first proxy.
 type SweepSpec = serve.SweepSpec
 
-// Coordinator drives a grid sweep across a replica fleet — the multi-host
-// analogue of SweepBatch, where the "engines" are remote cmd/serve
-// processes reached over the Client interface. It partitions the grid by
-// shape ownership (each replica sweeps the slice of the (log M·N, log K)
-// plane its caches are warm for), splits every shard's sub-grid into
-// fixed-size chunks, dispatches them over /sweep, and streams per-shard
-// results back — each item's result is released to the caller as its chunk
-// completes, so the coordinator holds O(chunk), not O(grid), in flight.
+// Coordinator drives a grid sweep across a replica fleet — the sharded
+// engine.Batch, whose "engines" are cmd/serve processes reached over the
+// Client interface (HTTPClients, or in-process LocalClients). It partitions
+// the grid by shape ownership (each replica sweeps the slice of the
+// (log M·N, log K) plane its caches are warm for), splits every shard's
+// sub-grid into fixed-size chunks, dispatches them over /sweep, and streams
+// per-shard results back — each item's result is released to the caller as
+// its chunk completes, so the coordinator holds O(chunk), not O(grid), in
+// flight.
 //
 // The coordinator survives replica churn mid-sweep: a chunk whose replica
 // dies (connection refused, timeout, 5xx) is re-dispatched through the
@@ -103,8 +101,10 @@ type SweepResult struct {
 }
 
 // StreamSink consumes merged sweep results as their chunks complete. index
-// is the item's global position in the swept grid; within one shard indices
-// arrive in ascending order, across shards they interleave by completion.
+// is the item's global position in the swept grid; within one shard and one
+// tier indices arrive in ascending order, across shards they interleave by
+// completion. A mixed sweep emits every unrefined result before any DES
+// refinement, so over the whole sweep one shard's indices need not ascend.
 // The coordinator serializes calls, so a sink writing one output stream
 // needs no locking of its own; a non-nil return aborts the sweep.
 type StreamSink func(index int, res SweepResult) error
@@ -154,8 +154,8 @@ func (c *Coordinator) request(items []serve.SweepItem) serve.SweepRequest {
 
 // Sweep tunes/executes the whole grid across the fleet and merges the
 // per-shard results back into input order: results[i] answers items[i], the
-// same deterministic global order SweepBatch and engine.Batch return — the
-// buffered form of Stream, for callers that want the materialized grid.
+// same deterministic global order engine.Batch returns — the buffered form
+// of Stream, for callers that want the materialized grid.
 func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]SweepResult, error) {
 	out := make([]SweepResult, len(items))
 	err := c.Stream(ctx, items, func(i int, res SweepResult) error {
@@ -178,13 +178,14 @@ func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]Swe
 //
 // The Spec.Fidelity knob selects what executes: a flat sweep (every item at
 // one backend fidelity, or each item's own label when Fidelity is "")
-// dispatches the grid once; a mixed sweep dispatches twice — the whole grid
-// analytic, then the engine.RankTopK winners at DES — with both phases
-// enjoying the same churn tolerance, partial-chunk salvage, and
-// deterministic attribution. Mixed ranking is global, so the analytic tier
-// is buffered O(grid) inside the coordinator before any emission (inherent
-// to the policy); analytic keepers emit as soon as ranking resolves and DES
-// refinements stream as they complete.
+// dispatches the grid once; a mixed sweep runs serve.SweepMixed with the
+// fleet as its tier executor, dispatching twice — the whole grid analytic,
+// then the engine.RankTopK winners at DES — with both phases enjoying the
+// same churn tolerance, partial-chunk salvage, and deterministic
+// attribution. Mixed ranking is global, so the analytic tier is buffered
+// O(grid) before any emission (inherent to the policy); analytic keepers
+// emit as soon as ranking resolves and DES refinements stream as their
+// chunks complete.
 //
 // Cancelling ctx tears the whole sweep down: every in-flight shard chunk's
 // HTTP request is aborted (replicas observe the closed request body and
@@ -219,9 +220,20 @@ func (c *Coordinator) Stream(ctx context.Context, items []serve.SweepItem, sink 
 	var err error
 	switch c.Spec.Fidelity {
 	case "", serve.FidelityDES, serve.FidelityAnalytic:
-		err = c.sweepGrid(ctx, stampItems(items, c.Spec.Fidelity), locked)
+		all := make([]int, len(items))
+		for i := range all {
+			all[i] = i
+		}
+		err = c.sweepGrid(ctx, items, all, c.Spec.Fidelity, locked)
 	case serve.FidelityMixed:
-		err = c.sweepMixed(ctx, items, locked)
+		err = serve.SweepMixed(c.Spec, items, func(idxs []int, fid string, emit func(int, SweepResult) error) error {
+			return c.sweepGrid(ctx, items, idxs, fid, emit)
+		}, locked, func(i int, err error) error {
+			if serve.IsBadQuery(err) {
+				err = &QueryError{Err: fmt.Errorf("shard: %w", err)}
+			}
+			return &fanError{At: i, Err: err}
+		})
 	default:
 		return &QueryError{Err: fmt.Errorf("shard: unknown sweep fidelity %q (want %q, %q, or %q)", c.Spec.Fidelity, serve.FidelityDES, serve.FidelityAnalytic, serve.FidelityMixed)}
 	}
@@ -231,95 +243,20 @@ func (c *Coordinator) Stream(ctx context.Context, items []serve.SweepItem, sink 
 	return nil
 }
 
-// stampItems returns items with every fidelity label forced to f; f == ""
-// passes the grid through with whatever labels the caller set.
-func stampItems(items []serve.SweepItem, f string) []serve.SweepItem {
-	if f == "" {
-		return items
-	}
-	out := make([]serve.SweepItem, len(items))
-	for i, it := range items {
-		it.Fidelity = f
-		out[i] = it
-	}
-	return out
-}
-
-// sweepMixed is the fleet-wide mixed-fidelity orchestration: the whole grid
-// analytically (cheap — no event simulation), rank per quantized shape cell
-// over the merged latencies, then confirm only the top TopK per cell on the
-// simulator. Both phases stamp per-item fidelities, so replicas (and router
-// proxies acting as replicas) execute exactly what the coordinator ranked —
-// no replica re-ranks its local sub-grid. Analytic results that survive the
-// ranking unrefined emit as soon as the ranking resolves; DES refinements
-// emit as their chunks complete, overwriting nothing (each index emits
-// exactly once).
-func (c *Coordinator) sweepMixed(ctx context.Context, items []serve.SweepItem, sink StreamSink) error {
-	for i, it := range items {
-		if it.Fidelity != "" {
-			return &fanError{At: i, Err: &QueryError{Err: fmt.Errorf("shard: mixed sweep item carries fidelity %q; the mixed policy assigns fidelities itself", it.Fidelity)}}
-		}
-	}
-	// The analytic tier buffers: ranking is global over the grid, so the
-	// mixed policy's coordinator footprint is inherently O(grid) — the
-	// O(chunk) streaming bound applies to the flat tiers it dispatches.
-	out := make([]SweepResult, len(items))
-	err := c.sweepGrid(ctx, stampItems(items, serve.FidelityAnalytic), func(i int, res SweepResult) error {
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	shapes := make([]gemm.Shape, len(items))
-	latencies := make([]sim.Time, len(items))
-	for i, r := range out {
-		shapes[i] = items[i].Shape()
-		latencies[i] = r.Result.Latency
-	}
-	refined := engine.RankTopK(shapes, latencies, c.Spec.TopK, c.Spec.RankQuantum)
-	inRefined := make([]bool, len(items))
-	for _, gi := range refined {
-		inRefined[gi] = true
-	}
-	for i := range out {
-		if !inRefined[i] {
-			if err := sink(i, out[i]); err != nil {
-				return &fanError{At: i, Err: err}
-			}
-		}
-	}
-	des := make([]serve.SweepItem, len(refined))
-	for j, gi := range refined {
-		des[j] = items[gi]
-	}
-	err = c.sweepGrid(ctx, stampItems(des, serve.FidelityDES), func(j int, res SweepResult) error {
-		return sink(refined[j], res)
-	})
-	if err != nil {
-		// The refine phase named an index into its sub-grid; translate it
-		// back to the caller's grid.
-		var fe *fanError
-		if errors.As(err, &fe) && fe.At >= 0 && fe.At < len(refined) {
-			err = &fanError{At: refined[fe.At], Err: fe.Err}
-		}
-		return err
-	}
-	return nil
-}
-
-// sweepGrid dispatches one already-stamped grid across the fleet — the
-// chunking, failover, and emit loop shared by every fidelity mode. Items
-// are bucketed by their current owner (the ring mapping with evicted
-// replicas rebalanced away), and every chunk re-resolves its dispatch
-// origin at dispatch time, so an eviction or a hand-back lands mid-sweep
-// instead of waiting for the next one. Failures surface as the raw
-// *fanError (lowest failing global index) so callers can translate
-// sub-grid indices before the user-facing wrap.
-func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, sink StreamSink) error {
+// sweepGrid dispatches the grid items at idxs across the fleet, each
+// stamped with fidelity fid ("" keeps the items' own labels) — the
+// chunking, failover, and emit loop of every sweep, and of each tier of a
+// mixed one. Items are bucketed by their current owner (the ring mapping
+// with evicted replicas rebalanced away), and every chunk re-resolves its
+// dispatch origin at dispatch time, so an eviction or a hand-back lands
+// mid-sweep instead of waiting for the next one. A chunk is a list of grid
+// indices: results reach sink by grid index, and a failure surfaces as the
+// raw *fanError naming the lowest failing grid index, for Stream's
+// user-facing wrap.
+func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, idxs []int, fid string, sink StreamSink) error {
 	byOwner := make([][]int, len(c.router.clients))
-	for i, it := range items {
-		k := c.router.Owner(it.Shape())
+	for _, i := range idxs {
+		k := c.router.Owner(items[i].Shape())
 		byOwner[k] = append(byOwner[k], i)
 	}
 	size := c.chunkSize()
@@ -335,6 +272,9 @@ func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, si
 			sub := make([]serve.SweepItem, len(chunk))
 			for j, gi := range chunk {
 				sub[j] = items[gi]
+				if fid != "" {
+					sub[j].Fidelity = fid
+				}
 			}
 			// Re-resolve the dispatch origin now, not at bucketing time:
 			// if this chunk's owner was evicted since (dispatch starts at
@@ -345,7 +285,7 @@ func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, si
 			results, replicas, err := c.dispatch(ctx, origin, sub)
 			if err != nil {
 				// Attribute the failure to the item the replica
-				// named, translated to the global grid; a chunk-level
+				// named, translated to its grid index; a chunk-level
 				// failure (budget exhausted) pins to the chunk's
 				// first item.
 				at := chunk[0]
@@ -387,6 +327,49 @@ func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, si
 		}
 		return 0, nil
 	})
+}
+
+// fanError is fanShards' failure: the winning (lowest) global index plus
+// the cause, structured so callers that must forward the index over a
+// protocol (the router's /sweep proxy) do not have to re-parse their own
+// error strings.
+type fanError struct {
+	At  int
+	Err error
+}
+
+func (e *fanError) Error() string { return fmt.Sprintf("%d: %v", e.At, e.Err) }
+func (e *fanError) Unwrap() error { return e.Err }
+
+// fanShards runs worker(k, idxs[k]) concurrently for every non-empty shard.
+// A failing worker returns the global index its failure maps to; fanShards
+// reports the failure with the lowest global index — deterministic no matter
+// which shards finish first — as a *fanError rendering "<index>: <cause>".
+func fanShards(idxs [][]int, worker func(k int, list []int) (int, error)) error {
+	shardErrs := make([]error, len(idxs)) // per-shard failure
+	shardErrAt := make([]int, len(idxs))  // global index of that failure
+	var wg sync.WaitGroup
+	for k := range idxs {
+		if len(idxs[k]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			shardErrAt[k], shardErrs[k] = worker(k, idxs[k])
+		}(k)
+	}
+	wg.Wait()
+	first := -1
+	for k, err := range shardErrs {
+		if err != nil && (first == -1 || shardErrAt[k] < shardErrAt[first]) {
+			first = k
+		}
+	}
+	if first >= 0 {
+		return &fanError{At: shardErrAt[first], Err: shardErrs[first]}
+	}
+	return nil
 }
 
 // translateChunkError maps a failing index relative to the dispatched

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gemm"
 	"repro/internal/hw"
 	"repro/internal/serve"
+	"repro/internal/sim"
 )
 
 // coordItems builds the sweep grid the coordinator tests drive: the quick
@@ -466,6 +467,113 @@ func TestCoordinatorMixedSweepRejectsPreLabeledItems(t *testing.T) {
 		t.Fatal("unknown coordinator fidelity accepted")
 	} else if retryable(err) {
 		t.Fatalf("unknown-fidelity failure classified retryable: %v", err)
+	}
+}
+
+// A mixed sweep hands every unrefined result over as soon as the ranking
+// resolves, before the first DES chunk is dispatched, and emits each
+// refinement as its chunk completes rather than at the end of the tier.
+// sweep-stream's first_result_ms rests on both; a policy that buffered
+// either tier would fail here.
+func TestCoordinatorMixedSweepEmissionTiming(t *testing.T) {
+	items := coordItems()
+	index := make(map[gemm.Shape]int, len(items))
+	for i, it := range items {
+		index[it.Shape()] = i
+	}
+	// event is one dispatched chunk (replica >= 0) or one emission
+	// (replica -1), in the order they happened.
+	type event struct {
+		replica int
+		fid     string
+		idxs    []int
+	}
+	var mu sync.Mutex
+	var events []event
+	clients := make([]Client, 2)
+	for k := range clients {
+		clients[k] = &stubClient{sweep: func(req serve.SweepRequest) ([]serve.SweepResult, error) {
+			ev := event{replica: k, fid: req.Items[0].Fidelity}
+			res := make([]serve.SweepResult, len(req.Items))
+			for j, it := range req.Items {
+				ev.idxs = append(ev.idxs, index[it.Shape()])
+				res[j] = serve.SweepResult{Fidelity: it.Fidelity, Result: &core.Result{Fidelity: core.Fidelity(it.Fidelity), Latency: sim.Time(it.M + it.K)}}
+			}
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+			return res, nil
+		}}
+	}
+	r, err := NewRouter(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(r)
+	co.Spec.Chunk = 1
+	co.Spec.Fidelity = serve.FidelityMixed
+	err = co.Stream(context.Background(), items, func(i int, res SweepResult) error {
+		mu.Lock()
+		defer mu.Unlock()
+		events = append(events, event{replica: -1, fid: res.Fidelity, idxs: []int{i}})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	firstDES := -1
+	desChunks := make([]int, len(clients))
+	for p, ev := range events {
+		if ev.replica >= 0 && ev.fid == serve.FidelityDES {
+			if firstDES < 0 {
+				firstDES = p
+			}
+			desChunks[ev.replica]++
+		}
+	}
+	if firstDES < 0 {
+		t.Fatal("no DES chunk dispatched")
+	}
+	if max(desChunks[0], desChunks[1]) < 2 {
+		t.Fatalf("DES chunks per replica %v; a replica needs two to show per-chunk emission", desChunks)
+	}
+	emittedAt := make(map[int]int, len(items))
+	for p, ev := range events {
+		if ev.replica >= 0 {
+			continue
+		}
+		i := ev.idxs[0]
+		if _, twice := emittedAt[i]; twice {
+			t.Fatalf("item %d emitted twice", i)
+		}
+		emittedAt[i] = p
+		if ev.fid == serve.FidelityAnalytic && p > firstDES {
+			t.Fatalf("unrefined item %d emitted at event %d, after the first DES chunk left at %d", i, p, firstDES)
+		}
+	}
+	if len(emittedAt) != len(items) {
+		t.Fatalf("%d of %d items emitted", len(emittedAt), len(items))
+	}
+	for p, ev := range events {
+		if ev.replica < 0 || ev.fid != serve.FidelityDES {
+			continue
+		}
+		// The chunk's results are emitted before its replica takes
+		// the next DES chunk.
+		next := len(events)
+		for q := p + 1; q < len(events); q++ {
+			if events[q].replica == ev.replica && events[q].fid == serve.FidelityDES {
+				next = q
+				break
+			}
+		}
+		for _, i := range ev.idxs {
+			if at := emittedAt[i]; at < p || at > next || events[at].fid != serve.FidelityDES {
+				t.Fatalf("refined item %d emitted at event %d (%q), want a DES emission between its chunk's dispatch (%d) and replica %d's next DES chunk (%d)",
+					i, at, events[at].fid, p, ev.replica, next)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -34,8 +35,58 @@ func quickGridRuns() []core.Options {
 	return runs
 }
 
+// sweepLocal is the sharded engine.Batch: it sweeps runs through one
+// Coordinator per platform, each over n in-process replicas (LocalClients)
+// of that platform, and scatters the results back so results[i] answers
+// runs[i]. Runs must be untuned and share one GPU count per platform.
+// fleets[p][k] is replica k of the p-th platform in order of first
+// appearance. A failure names its item by its index among its platform's
+// runs.
+func sweepLocal(t *testing.T, n int, runs []core.Options) (results []*core.Result, fleets [][]*serve.Service, err error) {
+	t.Helper()
+	byPlat := map[string][]int{}
+	var plats []string
+	for i, o := range runs {
+		if byPlat[o.Plat.Name] == nil {
+			plats = append(plats, o.Plat.Name)
+		}
+		byPlat[o.Plat.Name] = append(byPlat[o.Plat.Name], i)
+	}
+	results = make([]*core.Result, len(runs))
+	for _, name := range plats {
+		idxs := byPlat[name]
+		clients := make([]Client, n)
+		services := make([]*serve.Service, n)
+		for k := range clients {
+			svc, err := serve.New(serve.Config{Plat: runs[idxs[0]].Plat, NGPUs: runs[idxs[0]].NGPUs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			services[k], clients[k] = svc, &LocalClient{Svc: svc}
+		}
+		fleets = append(fleets, services)
+		r, err := NewRouter(clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := make([]serve.SweepItem, len(idxs))
+		for j, gi := range idxs {
+			o := runs[gi]
+			items[j] = serve.SweepItem{M: o.Shape.M, N: o.Shape.N, K: o.Shape.K, Prim: o.Prim.Short(), Imbalance: o.Imbalance}
+		}
+		got, err := NewCoordinator(r).Sweep(context.Background(), items)
+		if err != nil {
+			return nil, fleets, err
+		}
+		for j, gi := range idxs {
+			results[gi] = got[j].Result
+		}
+	}
+	return results, fleets, nil
+}
+
 // The acceptance property of the sharded sweep: splitting the quick Table 3
-// grid across any number of shard-local engines and merging the results
+// grid across any number of in-process replicas and merging the results
 // reproduces the unsharded engine.Batch output byte for byte.
 func TestSweepBatchMatchesUnshardedByteForByte(t *testing.T) {
 	runs := quickGridRuns()
@@ -48,8 +99,7 @@ func TestSweepBatchMatchesUnshardedByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 5; n++ {
-		p := NewPartitioner(n)
-		got, err := SweepBatch(context.Background(), p, Engines(n, 0, 0), runs)
+		got, _, err := sweepLocal(t, n, runs)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -73,24 +123,28 @@ func TestSweepBatchMatchesUnshardedByteForByte(t *testing.T) {
 	}
 }
 
-// Shard-local plan caches must stay disjoint and still compile each unique
-// plan exactly once fleet-wide.
+// Replica-local plan caches must stay disjoint and still compile each
+// unique plan exactly once fleet-wide.
 func TestSweepBatchCompilesEachPlanOncePerShard(t *testing.T) {
 	runs := quickGridRuns()
 	// Duplicate the grid so plan caching has hits to find.
 	runs = append(runs, quickGridRuns()...)
 	const n = 3
-	engines := Engines(n, 0, 0)
-	if _, err := SweepBatch(context.Background(), NewPartitioner(n), engines, runs); err != nil {
+	_, fleets, err := sweepLocal(t, n, runs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var misses uint64
-	for _, e := range engines {
-		h, m, _ := e.CacheStats()
-		if h == 0 && m == 0 {
-			t.Error("idle engine: partitioner sent a shard nothing from the quick grid")
+	for k := 0; k < n; k++ {
+		var used uint64
+		for _, fleet := range fleets {
+			e := fleet[k].Stats().Engine
+			used += e.Hits + e.Misses
+			misses += e.Misses
 		}
-		misses += m
+		if used == 0 {
+			t.Errorf("idle shard %d: partitioner sent it nothing from the quick grid", k)
+		}
 	}
 	unique := len(quickGridRuns())
 	if misses != uint64(unique) {
@@ -98,12 +152,19 @@ func TestSweepBatchCompilesEachPlanOncePerShard(t *testing.T) {
 	}
 }
 
-// A failing run must surface the same global index the unsharded path
+// A failing run must surface the same grid index the unsharded path
 // reports, no matter which shard it lands on.
 func TestSweepBatchErrorKeepsGlobalIndex(t *testing.T) {
 	runs := quickGridRuns()
 	bad := 7
 	runs[bad].Shape = gemm.Shape{M: 0, N: 8192, K: 4096}
+	// The first platform's runs open the grid, so the bad run's index
+	// among them is its grid index.
+	for i := 0; i <= bad; i++ {
+		if runs[i].Plat.Name != runs[0].Plat.Name {
+			t.Fatalf("run %d is on %s; the bad run must be in the first platform's block", i, runs[i].Plat.Name)
+		}
+	}
 
 	_, refErr := engine.New(0, 0).Batch(context.Background(), runs)
 	if refErr == nil {
@@ -115,21 +176,13 @@ func TestSweepBatchErrorKeepsGlobalIndex(t *testing.T) {
 	}
 
 	for n := 1; n <= 4; n++ {
-		_, err := SweepBatch(context.Background(), NewPartitioner(n), Engines(n, 0, 0), runs)
+		_, _, err := sweepLocal(t, n, runs)
 		if err == nil {
 			t.Fatalf("n=%d: sharded sweep accepted the invalid run", n)
 		}
-		if want := fmt.Sprintf("global run %d", bad); !contains(err.Error(), want) {
+		if want := fmt.Sprintf("sweep item %d:", bad); !strings.Contains(err.Error(), want) {
 			t.Fatalf("n=%d: error %q does not name %q", n, err, want)
 		}
-	}
-}
-
-func contains(s, sub string) bool { return bytes.Contains([]byte(s), []byte(sub)) }
-
-func TestSweepBatchRejectsEngineCountMismatch(t *testing.T) {
-	if _, err := SweepBatch(context.Background(), NewPartitioner(3), Engines(2, 0, 0), quickGridRuns()); err == nil {
-		t.Fatal("engine/shard count mismatch accepted")
 	}
 }
 
@@ -159,22 +212,26 @@ func localFleet(t *testing.T, n int) *Router {
 	return r
 }
 
-// A sharded tune sweep must answer in deterministic global order: replaying
-// the same sweep on a fresh identical fleet reproduces every answer, and
-// each answer comes from the query's owner.
+// A sweep of tune queries through the router must answer deterministically:
+// replaying the same queries on a fresh identical fleet reproduces every
+// answer, and each answer comes from the query's owner.
 func TestSweepQueriesDeterministicAcrossFleets(t *testing.T) {
 	var qs []serve.Query
 	for _, s := range quickGridShapes() {
 		qs = append(qs, serve.Query{Shape: s, Prim: hw.AllReduce})
 	}
-	first, err := localFleet(t, 3).SweepQueries(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(r *Router) []Answer {
+		answers := make([]Answer, len(qs))
+		for i, q := range qs {
+			ans, err := r.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+			answers[i] = ans
+		}
+		return answers
 	}
-	second, err := localFleet(t, 3).SweepQueries(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first, second := sweep(localFleet(t, 3)), sweep(localFleet(t, 3))
 	p := NewPartitioner(3)
 	for i := range qs {
 		if first[i].Owner != p.Owner(qs[i].Shape) || first[i].Replica != first[i].Owner {
@@ -187,21 +244,5 @@ func TestSweepQueriesDeterministicAcrossFleets(t *testing.T) {
 		if first[i].Waves != first[i].Partition.TotalWaves() {
 			t.Fatalf("query %d: malformed answer %+v", i, first[i])
 		}
-	}
-}
-
-// A query-level failure in a sweep reports the lowest failing global index.
-func TestSweepQueriesErrorKeepsGlobalIndex(t *testing.T) {
-	qs := []serve.Query{
-		{Shape: gemm.Shape{M: 2048, N: 8192, K: 4096}, Prim: hw.AllReduce},
-		{Shape: gemm.Shape{M: 4096, N: 8192, K: 4096}, Prim: hw.AllGather}, // unsupported
-		{Shape: gemm.Shape{M: 4096, N: 8192, K: 8192}, Prim: hw.AllReduce},
-	}
-	_, err := localFleet(t, 2).SweepQueries(context.Background(), qs)
-	if err == nil {
-		t.Fatal("unsupported primitive accepted")
-	}
-	if !contains(err.Error(), "query 1") {
-		t.Fatalf("error %q does not name global query 1", err)
 	}
 }

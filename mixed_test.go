@@ -15,6 +15,7 @@ import (
 	"repro/internal/expt"
 	"repro/internal/gemm"
 	"repro/internal/hw"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
@@ -111,9 +112,39 @@ func quickMixedGrid() []core.Options {
 	return runs
 }
 
-// Sharded mixed sweeps must be invisible: SweepBatchMixed at any shard count
-// returns byte-identical results and the identical refined set as the
-// unsharded MixedBatch, and every result carries its tier's fidelity label.
+// localCoordinator is a sharded sweep without a network: a Coordinator over
+// shards in-process replicas (LocalClients) of one platform and GPU count.
+func localCoordinator(tb testing.TB, plat hw.Platform, nGPUs, shards int) *shard.Coordinator {
+	tb.Helper()
+	clients := make([]shard.Client, shards)
+	for k := range clients {
+		svc, err := serve.New(serve.Config{Plat: plat, NGPUs: nGPUs})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		clients[k] = &shard.LocalClient{Svc: svc}
+	}
+	router, err := shard.NewRouter(clients)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return shard.NewCoordinator(router)
+}
+
+// sweepItems is runs in wire form; the runs' platform and GPU count belong
+// to the fleet that sweeps them.
+func sweepItems(runs []core.Options) []serve.SweepItem {
+	items := make([]serve.SweepItem, len(runs))
+	for i, o := range runs {
+		items[i] = serve.SweepItem{M: o.Shape.M, N: o.Shape.N, K: o.Shape.K, Prim: o.Prim.Short(), Imbalance: o.Imbalance}
+	}
+	return items
+}
+
+// Sharded mixed sweeps must be invisible: a mixed Coordinator sweep over
+// in-process replicas at any shard count returns byte-identical results and
+// the identical refined set as the unsharded MixedBatch, and every result
+// carries its tier's fidelity label.
 func TestSweepBatchMixedMatchesMixedBatchByteForByte(t *testing.T) {
 	runs := quickMixedGrid()
 	refRes, refRefined, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0)
@@ -138,10 +169,19 @@ func TestSweepBatchMixedMatchesMixedBatchByteForByte(t *testing.T) {
 	}
 	refJSON := marshalResults(t, refRes)
 	for shards := 1; shards <= 4; shards++ {
-		part := shard.NewPartitioner(shards)
-		res, refined, err := shard.SweepBatchMixed(context.Background(), part, shard.Engines(shards, 0, 0), runs, 0, 0)
+		co := localCoordinator(t, runs[0].Plat, runs[0].NGPUs, shards)
+		co.Spec.Fidelity = serve.FidelityMixed
+		swept, err := co.Sweep(context.Background(), sweepItems(runs))
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		res := make([]*core.Result, len(swept))
+		var refined []int
+		for i, r := range swept {
+			res[i] = r.Result
+			if r.Fidelity == serve.FidelityDES {
+				refined = append(refined, i)
+			}
 		}
 		if len(refined) != len(refRefined) {
 			t.Fatalf("shards=%d: refined %v, want %v", shards, refined, refRefined)
@@ -182,14 +222,12 @@ func TestMixedRefineTierMatchesFullDESByteForByte(t *testing.T) {
 }
 
 // A pre-stamped fidelity under a mixed batch is a contradiction and must be
-// rejected with the run's index, at both the engine and shard layers.
+// rejected. The sharded half of this check is
+// TestCoordinatorMixedSweepRejectsPreLabeledItems (internal/shard).
 func TestMixedBatchRejectsPreStampedFidelity(t *testing.T) {
 	runs := quickMixedGrid()
 	runs[3].Fidelity = core.FidelityDES
 	if _, _, err := engine.New(0, 0).MixedBatch(context.Background(), runs, 0, 0); err == nil {
 		t.Fatal("engine.MixedBatch accepted a pre-stamped run")
-	}
-	if _, _, err := shard.SweepBatchMixed(context.Background(), shard.NewPartitioner(2), shard.Engines(2, 0, 0), runs, 0, 0); err == nil {
-		t.Fatal("shard.SweepBatchMixed accepted a pre-stamped run")
 	}
 }
