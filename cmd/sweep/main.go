@@ -2,9 +2,13 @@
 // replicas: the distributed counterpart of an in-process engine.Batch. The
 // grid (shapes x primitives) is partitioned by shape ownership, each
 // shard's sub-grid is dispatched to its replica in chunks over POST /sweep,
-// and the per-shard results stream back into deterministic global order. A
-// replica that dies mid-sweep does not fail the run: its remaining chunks
-// re-dispatch through the failover ring under a bounded attempt budget.
+// and the results stream back into deterministic global order. In an
+// untuned sweep a replica that has run its own chunks takes the last
+// chunks of the shard with the most left, so no replica idles while
+// another works through a backlog; tuned chunks stay with their owner. A
+// replica that dies mid-sweep does not fail the run: the chunks still sent
+// to it re-dispatch through the failover ring under a bounded attempt
+// budget.
 //
 // A fleet-wide health plane keeps the degraded path cheap: a replica that
 // fails is marked dead and skipped by every later chunk (at most one probe
@@ -40,6 +44,8 @@
 // fidelity and match a local replay at it, and an untuned mixed sweep must
 // match a local engine.MixedBatch label for label and byte for byte, so the
 // check covers which items the fleet refined, not only how each executed.
+// A tuned mixed sweep must refine exactly -topk items of every rank bucket
+// (all of a smaller one) and match a replay at its own labels.
 //
 // sweep also composes with cmd/route: pointing -replicas at a single
 // router URL treats the router as a one-replica fleet, and the router's
@@ -55,6 +61,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -132,9 +139,16 @@ func main() {
 	}
 	if !*quiet {
 		co.OnChunk = func(cr shard.ChunkResult) {
+			var how []string
+			if cr.Origin != cr.Shard {
+				how = append(how, fmt.Sprintf("taken by idle replica %d", cr.Origin))
+			}
+			if cr.Replica != cr.Origin {
+				how = append(how, "re-dispatched")
+			}
 			suffix := ""
-			if cr.Replica != cr.Shard {
-				suffix = " (re-dispatched)"
+			if len(how) > 0 {
+				suffix = " (" + strings.Join(how, ", ") + ")"
 			}
 			log.Printf("shard %d: chunk of %d items answered by replica %d%s",
 				cr.Shard, len(cr.Indices), cr.Replica, suffix)
@@ -190,8 +204,8 @@ func main() {
 			nDES++
 		}
 	}
-	log.Printf("swept %d items (%d des, %d analytic) across %d replicas in %v (%v/item, %d re-dispatches, %d items salvaged from partial chunks)",
-		len(items), nDES, nAnalytic, len(urls), elapsed.Round(time.Millisecond), perItem.Round(time.Microsecond), co.Redispatches(), co.PartialSalvages())
+	log.Printf("swept %d items (%d des, %d analytic) across %d replicas in %v (%v/item, %d re-dispatches, %d chunks taken by idle replicas, %d items salvaged from partial chunks)",
+		len(items), nDES, nAnalytic, len(urls), elapsed.Round(time.Millisecond), perItem.Round(time.Microsecond), co.Redispatches(), co.Taken(), co.PartialSalvages())
 
 	if *verify {
 		fatal(verifyAgainstLocal(*platName, *gpus, co.Spec, items, results))
@@ -210,6 +224,14 @@ func main() {
 //     items, or none, fails on its labels;
 //   - mixed, tuned: ranking ran over tuned partitions no local engine
 //     reproduces, so each item replays at the fidelity the fleet reported.
+//     What the labels must add up to is still known: engine.RankTopK
+//     refines exactly min(topk, cell size) items of every rank cell,
+//     whatever the latencies, so a reply with any other count of DES
+//     labels in a cell fails before the replay (see checkRefinedPerCell).
+//     Which items of a cell won is not checked. Re-ranking at the reported
+//     partitions would not be exact: a refined item goes through the shape
+//     cache again for its DES run, so its reply carries that partition,
+//     not necessarily the one it was ranked at.
 //
 // Tuned sweeps replay with the partitions the fleet chose, so the check
 // still validates cross-host execution determinism.
@@ -219,6 +241,11 @@ func verifyAgainstLocal(platName string, gpus int, spec shard.SweepSpec, items [
 		return err
 	}
 	mixed := spec.Fidelity == serve.FidelityMixed
+	if mixed && spec.Tune {
+		if err := checkRefinedPerCell(spec, items, results); err != nil {
+			return err
+		}
+	}
 	want := cmp.Or(spec.Fidelity, serve.FidelityDES)
 	runs := make([]core.Options, len(items))
 	for i, it := range items {
@@ -264,6 +291,39 @@ func verifyAgainstLocal(platName string, gpus int, spec shard.SweepSpec, items [
 	}
 	if string(remoteJSON) != string(localJSON) {
 		return fmt.Errorf("verify: merged fleet results diverge from the local replay (platform/gpus mismatch, or non-deterministic replica)")
+	}
+	return nil
+}
+
+// checkRefinedPerCell holds a mixed reply to the refinement count the
+// policy fixes in advance: engine.RankTopK confirms min(topk, cell size)
+// items of every rank cell (gemm.Shape.LogCell at the rank quantum) on the
+// simulator, whatever their latencies. Zero knobs select
+// engine.DefaultTopK and engine.DefaultRankQuantum, as in the sweep.
+func checkRefinedPerCell(spec shard.SweepSpec, items []serve.SweepItem, results []shard.SweepResult) error {
+	k, quantum := spec.TopK, spec.RankQuantum
+	if k <= 0 {
+		k = engine.DefaultTopK
+	}
+	if quantum <= 0 {
+		quantum = engine.DefaultRankQuantum
+	}
+	type cell struct{ qx, qy int64 }
+	cells := make([]cell, len(items))
+	size, des := map[cell]int{}, map[cell]int{}
+	for i, it := range items {
+		qx, qy := it.Shape().LogCell(quantum)
+		cells[i] = cell{qx, qy}
+		size[cells[i]]++
+		if results[i].Fidelity == serve.FidelityDES {
+			des[cells[i]]++
+		}
+	}
+	// Report the cell of the first item in grid order that is off.
+	for i, c := range cells {
+		if want := min(k, size[c]); des[c] != want {
+			return fmt.Errorf("verify: item %d's rank cell holds %d DES-refined items of %d, want %d (top-%d per cell)", i, des[c], size[c], want, k)
+		}
 	}
 	return nil
 }

@@ -23,7 +23,10 @@ func reply(results []*core.Result) []shard.SweepResult {
 // -verify checks the fidelity policy the sweep asked for, not the labels the
 // fleet reported: a mixed reply that refined nothing, or refined the wrong
 // item, must fail even though every result replays at its own label, and a
-// des or analytic sweep must carry only the requested label.
+// des or analytic sweep must carry only the requested label. A tuned mixed
+// reply replays at its own labels, but must refine top-k of every rank
+// cell: all-analytic, all-DES and short replies fail, a real fleet's
+// passes.
 func TestVerifyChecksRequestedFidelity(t *testing.T) {
 	shapes, err := serve.ParseShapes("2048x8192x4096,4096x8192x4096,4096x8192x8192,8192x8192x4096")
 	if err != nil {
@@ -57,23 +60,49 @@ func TestVerifyChecksRequestedFidelity(t *testing.T) {
 	swapped := append([]*core.Result(nil), mixed...)
 	swapped[refined[0]] = analytic[refined[0]]
 
+	// A tuned mixed reply from a real fleet: a Coordinator over two
+	// in-process replicas.
+	tunedMixedSpec := shard.SweepSpec{Fidelity: serve.FidelityMixed, Tune: true}
+	clients := make([]shard.Client, 2)
+	for k := range clients {
+		svc, err := serve.New(serve.Config{Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[k] = &shard.LocalClient{Svc: svc}
+	}
+	router, err := shard.NewRouter(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := shard.NewCoordinator(router)
+	co.Spec = tunedMixedSpec
+	tunedMixed, err := co.Sweep(context.Background(), items)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	mixedSpec := shard.SweepSpec{Fidelity: serve.FidelityMixed}
 	analyticSpec := shard.SweepSpec{Fidelity: serve.FidelityAnalytic}
 	for _, tc := range []struct {
 		name    string
 		spec    shard.SweepSpec
-		results []*core.Result
+		results []shard.SweepResult
 		ok      bool
 	}{
-		{"faithful mixed reply", mixedSpec, mixed, true},
-		{"all-analytic reply to a mixed sweep", mixedSpec, analytic, false},
-		{"mixed reply with a refined item left analytic", mixedSpec, swapped, false},
-		{"des reply to a des sweep", shard.SweepSpec{}, des, true},
-		{"mixed reply to a des sweep", shard.SweepSpec{}, mixed, false},
-		{"analytic reply to an analytic sweep", analyticSpec, analytic, true},
-		{"mixed reply to an analytic sweep", analyticSpec, mixed, false},
+		{"faithful mixed reply", mixedSpec, reply(mixed), true},
+		{"all-analytic reply to a mixed sweep", mixedSpec, reply(analytic), false},
+		{"mixed reply with a refined item left analytic", mixedSpec, reply(swapped), false},
+		{"des reply to a des sweep", shard.SweepSpec{}, reply(des), true},
+		{"mixed reply to a des sweep", shard.SweepSpec{}, reply(mixed), false},
+		{"analytic reply to an analytic sweep", analyticSpec, reply(analytic), true},
+		{"mixed reply to an analytic sweep", analyticSpec, reply(mixed), false},
+		{"fleet reply to a tuned mixed sweep", tunedMixedSpec, tunedMixed, true},
+		{"all-analytic reply to a tuned mixed sweep", tunedMixedSpec, reply(analytic), false},
+		{"all-des reply to a tuned mixed sweep", tunedMixedSpec, reply(des), false},
+		{"tuned mixed reply with a refined item left analytic", tunedMixedSpec, reply(swapped), false},
 	} {
-		err := verifyAgainstLocal("4090", 2, tc.spec, items, reply(tc.results))
+		err := verifyAgainstLocal("4090", 2, tc.spec, items, tc.results)
 		if tc.ok && err != nil {
 			t.Errorf("%s: rejected: %v", tc.name, err)
 		}

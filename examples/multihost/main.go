@@ -1,8 +1,9 @@
 // Multihost: the distributed sweep deployment — a fleet of serve replicas
 // over real HTTP, a sweep coordinator that partitions a grid by shape
-// ownership and dispatches chunked sub-grids to the owning replicas, and
-// the churn story: one replica is killed mid-sweep and its remaining
-// chunks re-dispatch through the failover ring, with the merged results
+// ownership and dispatches chunked sub-grids to the owning replicas (an
+// idle replica takes chunks of a shard that still has a backlog), and the
+// churn story: one replica is killed mid-sweep and the chunks still sent
+// to it re-dispatch through the failover ring, with the merged results
 // still byte-identical to a single-process engine.Batch over the same
 // grid. The example finishes by mounting the shape-hash router in front of
 // the fleet and posting the grid to its /sweep proxy — the topology
@@ -133,8 +134,9 @@ func main() {
 	}
 
 	// Distributed sweep with churn: kill one replica after it answers its
-	// first chunk, mid-sweep. Its remaining chunks re-dispatch through
-	// the failover ring instead of failing the sweep.
+	// first chunk, mid-sweep. The chunks still sent to it re-dispatch
+	// through the failover ring instead of failing the sweep, and idle
+	// replicas may take the rest of its backlog.
 	counts := make([]int, nShards)
 	for _, it := range items {
 		counts[part.Owner(it.Shape())]++
@@ -148,8 +150,15 @@ func main() {
 	co := shard.NewCoordinator(router)
 	co.Spec.Chunk = 1 // chunk per item, so the kill lands mid-sweep
 	var kill sync.Once
+	var mu sync.Mutex
+	origin := make([]int, len(items)) // the replica each item's chunk was sent to
 	co.OnChunk = func(cr shard.ChunkResult) {
-		if cr.Shard == victim {
+		mu.Lock()
+		for _, i := range cr.Indices {
+			origin[i] = cr.Origin
+		}
+		mu.Unlock()
+		if cr.Replica == victim {
 			kill.Do(func() {
 				_ = servers[victim].Close()
 				fmt.Printf("\n*** replica %d killed mid-sweep (after its first chunk) ***\n\n", victim)
@@ -162,15 +171,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, res := range results {
+	for i, res := range results {
 		marker := ""
-		if res.Replica != res.Owner {
+		switch {
+		case res.Replica != origin[i]:
 			marker = "  <- re-dispatched via failover ring"
+		case res.Replica != res.Owner:
+			marker = "  <- taken by an idle replica"
 		}
 		fmt.Printf("  %-18s waves %2d  measured %9d ns  shard %d -> replica %d%s\n",
 			res.Shape, res.Waves, res.Result.Latency, res.Owner, res.Replica, marker)
 	}
-	fmt.Printf("re-dispatched chunks: %d (budget: %d attempts per chunk)\n", co.Redispatches(), nShards)
+	fmt.Printf("re-dispatched chunks: %d (budget: %d attempts per chunk); chunks taken by idle replicas: %d\n",
+		co.Redispatches(), nShards, co.Taken())
 
 	merged := make([]*core.Result, len(results))
 	for i, res := range results {
@@ -185,15 +198,34 @@ func main() {
 	}
 	fmt.Printf("merge check: %d results byte-identical to single-process engine.Batch despite churn\n", len(results))
 
-	// The health plane capped the damage: the victim burned one probe
-	// timeout, was marked dead, and every later chunk skipped it instead
-	// of stalling. Restart it on the same address and probe /healthz — the
+	// The health plane caps the damage: the first chunk sent to the dead
+	// victim burns one probe timeout and marks it dead, and every later
+	// one skips it instead of stalling. Whether the sweep sent it any
+	// chunk after the kill depends on the schedule — idle replicas may
+	// have taken all of its backlog — so a routed query for one of its
+	// shapes finds it dead either way and fails over.
+	var victimShape gemm.Shape
+	for _, s := range grid {
+		if part.Owner(s) == victim {
+			victimShape = s
+			break
+		}
+	}
+	ans, err := router.Query(ctx, serve.Query{Shape: victimShape, Prim: hw.AllReduce})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if ans.Replica == victim {
+		log.Fatalf("query for %v answered by the dead replica %d", victimShape, victim)
+	}
+	fmt.Printf("\nquery for %v: owner %d -> replica %d; victim %d health: %v (dispatch attempts skipped while dead: %d)\n",
+		victimShape, ans.Owner, ans.Replica, victim, router.Health().State(victim), router.Health().Skips())
+
+	// Restart the victim on the same address and probe /healthz — the
 	// router re-admits it and it serves its shard slice again. (During a
 	// sweep, Coordinator.Sweep runs this probe on a cooldown
 	// automatically, so a replica restarted mid-sweep reclaims its shard
 	// before the sweep ends.)
-	fmt.Printf("\nvictim %d health after the sweep: %v (dispatch attempts skipped while dead: %d)\n",
-		victim, router.Health().State(victim), router.Health().Skips())
 	listen(victim)
 	// Probe eligibility waits out the victim's cooldown (so a flapping
 	// replica cannot be re-admitted more than once per window); poll

@@ -155,8 +155,8 @@ func main() {
 	if !bytes.Equal(got, want) {
 		log.Fatal("sharded sweep diverged from unsharded engine.Batch")
 	}
-	fmt.Printf("\nsharded sweep with replica %d down: %d runs across %d shards merged byte-identical to engine.Batch (chunk re-dispatches: %d)\n",
-		victim, len(runs), nShards, co.Redispatches())
+	fmt.Printf("\nsharded sweep with replica %d down: %d runs across %d shards merged byte-identical to engine.Batch (chunk re-dispatches: %d, taken by idle replicas: %d)\n",
+		victim, len(runs), nShards, co.Redispatches(), co.Taken())
 
 	for i, srv := range servers {
 		if i != victim {

@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -426,4 +429,66 @@ func TestHandlerHealthz(t *testing.T) {
 	if body["status"] != "ok" || body["shard"] != "1/4" {
 		t.Fatalf("body = %v, want status ok with shard 1/4", body)
 	}
+}
+
+// FuzzParseQuery feeds arbitrary query strings to ParseQuery, which the
+// router and every replica run on each /query. It never panics; an accepted
+// query has positive dimensions, an imbalance of 0 or a finite factor >= 1,
+// and a valid tenant; and the query rendered back to parameters, the way
+// the router forwards it, parses to an equal Query.
+func FuzzParseQuery(f *testing.F) {
+	for _, raw := range []string{
+		"",
+		"m=2048&n=8192&k=4096&prim=AR",
+		"m=4096&n=8192&k=4096&prim=AR",
+		"m=4096&n=8192&k=8192&prim=A2A&imbalance=4",
+		"m=4096&n=8192&k=4096&prim=A2A&imbalance=2",
+		"m=2048&n=8192&k=4096&prim=ReduceScatter&tenant=team-a.v1_2",
+		"m=0&n=8192&k=4096",
+		"m=-5&n=8192&k=4096",
+		"m=2048&n=8192&k=4096&prim=NOPE",
+		"m=2048&n=8192&k=4096&prim=A2A&imbalance=0.5",
+		"m=2048&n=8192&k=4096&prim=A2A&imbalance=NaN",
+		"m=2048&n=8192&k=4096&prim=A2A&imbalance=Inf",
+		"m=1073741824&n=1073741824&k=1",
+		"m=2048&n=8192&k=4096&tenant=bad%20label",
+	} {
+		f.Add(raw)
+	}
+	parse := func(raw string) (Query, error) {
+		return ParseQuery(&http.Request{URL: &url.URL{RawQuery: raw}})
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, err := parse(raw)
+		if err != nil {
+			return
+		}
+		if q.Shape.M <= 0 || q.Shape.N <= 0 || q.Shape.K <= 0 {
+			t.Fatalf("%q: accepted shape %v", raw, q.Shape)
+		}
+		if q.Imbalance != 0 && (!(q.Imbalance >= 1) || math.IsInf(q.Imbalance, 0)) {
+			t.Fatalf("%q: accepted imbalance %v", raw, q.Imbalance)
+		}
+		if err := ValidateTenant(q.Tenant); err != nil {
+			t.Fatalf("%q: accepted tenant: %v", raw, err)
+		}
+		v := url.Values{}
+		v.Set("m", strconv.Itoa(q.Shape.M))
+		v.Set("n", strconv.Itoa(q.Shape.N))
+		v.Set("k", strconv.Itoa(q.Shape.K))
+		v.Set("prim", q.Prim.Short())
+		if q.Imbalance != 0 {
+			v.Set("imbalance", strconv.FormatFloat(q.Imbalance, 'g', -1, 64))
+		}
+		if q.Tenant != "" {
+			v.Set("tenant", q.Tenant)
+		}
+		back, err := parse(v.Encode())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose parameters %q are rejected: %v", raw, q, v.Encode(), err)
+		}
+		if back != q {
+			t.Fatalf("%q parsed to %+v; its parameters %q parse to %+v", raw, q, v.Encode(), back)
+		}
+	})
 }

@@ -93,7 +93,9 @@ type SweepSpec struct {
 	// per-wave baseline — a pure engine execution whose result is
 	// deterministic and cache-history-free, so sharded sweeps merge
 	// byte-identically to engine.Batch no matter which replica ran which
-	// chunk.
+	// chunk. That is why a sharded coordinator lets an idle replica take
+	// another shard's untuned chunks, and keeps tuned ones with their
+	// owner.
 	Tune bool `json:"tune,omitempty"`
 	// Chunk and Attempts forward the sweeping coordinator's knobs. A
 	// single replica ignores them (the posted Items already are one

@@ -33,13 +33,23 @@ type SweepSpec = serve.SweepSpec
 // the grid by shape ownership (each replica sweeps the slice of the
 // (log M·N, log K) plane its caches are warm for), splits every shard's
 // sub-grid into fixed-size chunks, dispatches them over /sweep, and streams
-// per-shard results back — each item's result is released to the caller as
-// its chunk completes, so the coordinator holds O(chunk), not O(grid), in
+// results back — each item's result is released to the caller as its chunk
+// completes, so the coordinator holds O(chunk) per replica, not O(grid), in
 // flight.
+//
+// Dispatch binds chunks to replicas late. Each replica first runs its own
+// shard's chunks in ascending order; once it has none left, a Healthy
+// replica takes the last undispatched chunk of the shard with the most
+// chunks left, so no replica idles while another works through a backlog.
+// Only untuned sweeps take chunks (an untuned result is the same on any
+// replica; a tuned one depends on its owner's shape cache), an owner's
+// first chunk of a tier always goes to the owner, and a taken chunk's
+// failover pass starts at the replica that took it. Taken chunks are
+// counted by Taken, not by Redispatches.
 //
 // The coordinator survives replica churn mid-sweep: a chunk whose replica
 // dies (connection refused, timeout, 5xx) is re-dispatched through the
-// failover ring — owner+1, owner+2, ... — under a bounded attempt budget,
+// failover ring — origin+1, origin+2, ... — under a bounded attempt budget,
 // instead of failing the sweep. The router's shared health plane makes the
 // degraded path cheap and recoverable: a replica that failed is marked dead
 // and skipped by every later chunk until its cooldown elapses (at most one
@@ -49,15 +59,15 @@ type SweepSpec = serve.SweepSpec
 // eviction window surrenders its ring ownership entirely — its cells
 // rebalance to the survivors (chunks start dispatch there directly, no
 // failover hop) until re-admission hands them back, mid-sweep included:
-// every chunk re-resolves its dispatch origin against the current eviction
-// state. A chunk that fails partway keeps whatever items its replica
-// streamed back and re-dispatches only the unanswered rest. Untuned sweep
-// results are deterministic and cache-history-free on any replica of an
-// identically configured fleet, so re-dispatch cannot perturb the merged
-// output. Deterministic rejections (4xx QueryErrors) are not retried: every
-// replica would reject the chunk identically, and the failure is attributed
-// to its global item index via the serve.ChunkError convention (the remote
-// cousin of engine.RunError).
+// every chunk re-resolves its owner against the current eviction state. A
+// chunk that fails partway keeps whatever items its replica streamed back
+// and re-dispatches only the unanswered rest. Untuned sweep results are
+// deterministic and cache-history-free on any replica of an identically
+// configured fleet, so neither taking nor re-dispatch can perturb the
+// merged output. Deterministic rejections (4xx QueryErrors) are not
+// retried: every replica would reject the chunk identically, and the
+// failure is attributed to its global item index via the serve.ChunkError
+// convention (the remote cousin of engine.RunError).
 //
 // A Coordinator is safe for concurrent Sweep/Stream calls; Spec and OnChunk
 // must be set before the first call.
@@ -69,23 +79,27 @@ type Coordinator struct {
 	// health windows. Zero fields select the documented defaults.
 	Spec SweepSpec
 	// OnChunk, when set, observes every completed chunk as it lands —
-	// per-shard result streaming for progress reporting. A chunk whose
+	// per-chunk result streaming for progress reporting. A chunk whose
 	// items were answered by more than one replica (partial-chunk
 	// completion) is announced once per contiguous replica segment. It is
-	// called from the per-shard sweep goroutines and must be safe for
+	// called from the per-replica sweep workers and must be safe for
 	// concurrent use.
 	OnChunk func(ChunkResult)
 
 	redispatches atomic.Uint64
+	taken        atomic.Uint64
 	salvaged     atomic.Uint64
 }
 
 // ChunkResult announces one completed chunk (or, after a partial-chunk
 // completion, one contiguous segment of it) to OnChunk.
 type ChunkResult struct {
-	// Shard owns the chunk; Replica answered it (different only after a
-	// re-dispatch through the failover ring).
-	Shard, Replica int
+	// Shard owns the chunk: the ring owner at dispatch time. Origin is
+	// the replica the chunk was sent to: Shard itself, or the idle
+	// replica that took it from Shard's queue. Replica answered the
+	// segment; it differs from Origin only after a re-dispatch through
+	// the failover ring.
+	Shard, Origin, Replica int
 	// Indices are the segment's global item indices; Results[j] answers
 	// Indices[j].
 	Indices []int
@@ -93,7 +107,9 @@ type ChunkResult struct {
 }
 
 // SweepResult is one sweep item's outcome plus routing attribution: the
-// shard that owned it and the replica that actually executed it.
+// shard that owned it (the ring owner at dispatch time) and the replica
+// that actually executed it. They differ after a failover, and on a
+// healthy fleet when an idle replica took the item's chunk.
 type SweepResult struct {
 	serve.SweepResult
 	Owner   int `json:"owner"`
@@ -101,10 +117,11 @@ type SweepResult struct {
 }
 
 // StreamSink consumes merged sweep results as their chunks complete. index
-// is the item's global position in the swept grid; within one shard and one
-// tier indices arrive in ascending order, across shards they interleave by
-// completion. A mixed sweep emits every unrefined result before any DES
-// refinement, so over the whole sweep one shard's indices need not ascend.
+// is the item's global position in the swept grid; within one chunk
+// indices arrive in ascending order, across chunks they interleave by
+// completion — an idle replica may finish a shard's last chunk before the
+// shard's owner reaches its middle ones. A mixed sweep emits every
+// unrefined result before any DES refinement.
 // The coordinator serializes calls, so a sink writing one output stream
 // needs no locking of its own; a non-nil return aborts the sweep.
 type StreamSink func(index int, res SweepResult) error
@@ -115,10 +132,17 @@ func NewCoordinator(r *Router) *Coordinator {
 	return &Coordinator{router: r}
 }
 
-// Redispatches counts chunks that left their owner: chunks any of whose
-// items were answered by a ring hop past the owner. The count is cumulative
-// across Sweep calls.
+// Redispatches counts chunks that left the replica they were sent to:
+// chunks any of whose items were answered by a failover ring hop. A taken
+// chunk answered by its taker is not a re-dispatch. The count is
+// cumulative across Sweep calls.
 func (c *Coordinator) Redispatches() uint64 { return c.redispatches.Load() }
+
+// Taken counts completed chunks an idle replica took from another shard's
+// queue (see Coordinator): chunks sent to a replica other than their
+// owner because the owner still had a backlog. Cumulative across Sweep
+// calls.
+func (c *Coordinator) Taken() uint64 { return c.taken.Load() }
 
 // PartialSalvages counts items whose results were kept from a chunk that
 // failed partway — work the partial-chunk completion path did not have to
@@ -153,7 +177,7 @@ func (c *Coordinator) request(items []serve.SweepItem) serve.SweepRequest {
 }
 
 // Sweep tunes/executes the whole grid across the fleet and merges the
-// per-shard results back into input order: results[i] answers items[i], the
+// results back into input order: results[i] answers items[i], the
 // same deterministic global order engine.Batch returns — the buffered form
 // of Stream, for callers that want the materialized grid.
 func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]SweepResult, error) {
@@ -171,9 +195,9 @@ func (c *Coordinator) Sweep(ctx context.Context, items []serve.SweepItem) ([]Swe
 // Stream tunes/executes the whole grid across the fleet, emitting each
 // item's result into sink as its chunk completes — the coordinator's
 // bounded-memory sweep: at no point does it hold more than O(chunk) results
-// per shard in flight. On failure the error with the lowest failing global
+// per replica in flight. On failure the error with the lowest failing global
 // item index is reported as "sweep item <index>: ...", regardless of which
-// shards finished first; results already emitted stay emitted (they are
+// replicas finished first; results already emitted stay emitted (they are
 // deterministic and final — a retrying caller may keep them).
 //
 // The Spec.Fidelity knob selects what executes: a flat sweep (every item at
@@ -209,7 +233,7 @@ func (c *Coordinator) Stream(ctx context.Context, items []serve.SweepItem, sink 
 	stopProber := c.router.StartProber(ctx, c.Spec.ProbeInterval)
 	defer stopProber()
 
-	// Serialize the sink: per-shard goroutines emit concurrently, and the
+	// Serialize the sink: per-replica workers emit concurrently, and the
 	// natural consumer is a single output stream.
 	var mu sync.Mutex
 	locked := func(i int, res SweepResult) error {
@@ -247,86 +271,178 @@ func (c *Coordinator) Stream(ctx context.Context, items []serve.SweepItem, sink 
 // stamped with fidelity fid ("" keeps the items' own labels) — the
 // chunking, failover, and emit loop of every sweep, and of each tier of a
 // mixed one. Items are bucketed by their current owner (the ring mapping
-// with evicted replicas rebalanced away), and every chunk re-resolves its
-// dispatch origin at dispatch time, so an eviction or a hand-back lands
-// mid-sweep instead of waiting for the next one. A chunk is a list of grid
-// indices: results reach sink by grid index, and a failure surfaces as the
-// raw *fanError naming the lowest failing grid index, for Stream's
-// user-facing wrap.
+// with evicted replicas rebalanced away) and cut into chunks, one queue per
+// owner (see chunkQueues). One worker per replica then drains the queues:
+//   - it runs its own replica's chunks in ascending order, each dispatched
+//     from its owner re-resolved at dispatch time, so an eviction or a
+//     hand-back lands mid-sweep instead of waiting for the next one;
+//   - with its own queue empty, a worker whose replica is Healthy takes the
+//     last undispatched chunk of the owner with the most chunks left, and
+//     dispatches it from itself. Only untuned sweeps take chunks: a tuned
+//     answer depends on its owner's shape cache, an untuned one does not
+//     (SweepSpec.Tune). A benched or evicted replica takes nothing; its
+//     own chunks still fail over as usual;
+//   - an owner's first chunk is never taken, so a dead owner is still
+//     found by its own chunk: under a budget of one attempt, a sweep
+//     holding any of a dead owner's cells fails, as it would without
+//     taking;
+//   - a taken chunk's ring pass starts at its taker. A pass skips benched
+//     replicas without spending an attempt, and the taker is Healthy, so
+//     taking spends no attempt the chunk would not have spent at its owner;
+//   - a worker stops at its first failure.
+//
+// A chunk is a list of grid indices: results reach sink by grid index,
+// and a failure surfaces as the raw *fanError naming the lowest failing
+// grid index, for Stream's user-facing wrap. The lowest index is
+// deterministic: every owner's queue runs as an ascending prefix by its
+// own worker, so the chunk holding an owner's lowest failing item is
+// always dispatched, by its owner or by a taker.
 func (c *Coordinator) sweepGrid(ctx context.Context, items []serve.SweepItem, idxs []int, fid string, sink StreamSink) error {
 	byOwner := make([][]int, len(c.router.clients))
 	for _, i := range idxs {
 		k := c.router.Owner(items[i].Shape())
 		byOwner[k] = append(byOwner[k], i)
 	}
-	size := c.chunkSize()
-	return fanShards(byOwner, func(k int, list []int) (int, error) {
-		for start := 0; start < len(list); start += size {
-			chunk := list[start:min(start+size, len(list))]
+	q := newChunkQueues(byOwner, c.chunkSize())
+	return fanShards(len(byOwner), func(k int) (int, error) {
+		for {
+			chunk, taken := q.next(k, !c.Spec.Tune && c.router.health.State(k) == Healthy)
+			if chunk == nil {
+				return 0, nil
+			}
 			// Check between chunks, not mid-chunk: a cancelled sweep
 			// stops dispatching new work here, while chunks already on
 			// the wire are torn down by their own request contexts.
 			if err := ctx.Err(); err != nil {
 				return chunk[0], err
 			}
-			sub := make([]serve.SweepItem, len(chunk))
-			for j, gi := range chunk {
-				sub[j] = items[gi]
-				if fid != "" {
-					sub[j].Fidelity = fid
-				}
+			taker := -1
+			if taken {
+				taker = k
 			}
-			// Re-resolve the dispatch origin now, not at bucketing time:
-			// if this chunk's owner was evicted since (dispatch starts at
-			// its ring successor) or an evicted owner was re-admitted
-			// (dispatch hands the cells straight back), the change takes
-			// effect mid-sweep.
-			origin := c.router.Owner(items[chunk[0]].Shape())
-			results, replicas, err := c.dispatch(ctx, origin, sub)
-			if err != nil {
-				// Attribute the failure to the item the replica
-				// named, translated to its grid index; a chunk-level
-				// failure (budget exhausted) pins to the chunk's
-				// first item.
-				at := chunk[0]
-				var ce *serve.ChunkError
-				if errors.As(err, &ce) && ce.Index >= 0 && ce.Index < len(chunk) {
-					at = chunk[ce.Index]
-				}
+			if at, err := c.runChunk(ctx, items, chunk, fid, taker, sink); err != nil {
 				return at, err
 			}
-			left := false
-			for j := range chunk {
-				if replicas[j] != origin {
-					left = true
-				}
-			}
-			if left {
-				c.redispatches.Add(1)
-				c.router.failovers.Add(1)
-			}
-			// Emit the chunk, then let it go: the merged stream holds
-			// O(chunk) results per shard, never the grid.
-			for j, gi := range chunk {
-				if err := sink(gi, SweepResult{SweepResult: results[j], Owner: origin, Replica: replicas[j]}); err != nil {
-					return gi, err
-				}
-			}
-			if c.OnChunk != nil {
-				// One announcement per contiguous replica segment; a
-				// chunk answered whole by one replica is one segment.
-				for lo := 0; lo < len(chunk); {
-					hi := lo + 1
-					for hi < len(chunk) && replicas[hi] == replicas[lo] {
-						hi++
-					}
-					c.OnChunk(ChunkResult{Shard: origin, Replica: replicas[lo], Indices: chunk[lo:hi], Results: results[lo:hi]})
-					lo = hi
-				}
-			}
 		}
-		return 0, nil
 	})
+}
+
+// runChunk dispatches one chunk and emits its results. taker is the replica
+// that took the chunk from its owner's queue, or -1 when the chunk is its
+// owner's own. On failure it returns the grid index the failure maps to.
+func (c *Coordinator) runChunk(ctx context.Context, items []serve.SweepItem, chunk []int, fid string, taker int, sink StreamSink) (int, error) {
+	sub := make([]serve.SweepItem, len(chunk))
+	for j, gi := range chunk {
+		sub[j] = items[gi]
+		if fid != "" {
+			sub[j].Fidelity = fid
+		}
+	}
+	// Re-resolve the owner now, not at bucketing time: if this chunk's
+	// owner was evicted since (dispatch starts at its ring successor) or
+	// an evicted owner was re-admitted (dispatch hands the cells straight
+	// back), the change takes effect mid-sweep.
+	owner := c.router.Owner(items[chunk[0]].Shape())
+	origin := owner
+	if taker >= 0 {
+		origin = taker
+	}
+	results, replicas, err := c.dispatch(ctx, origin, sub)
+	if err != nil {
+		// Attribute the failure to the item the replica named,
+		// translated to its grid index; a chunk-level failure (budget
+		// exhausted) pins to the chunk's first item.
+		at := chunk[0]
+		var ce *serve.ChunkError
+		if errors.As(err, &ce) && ce.Index >= 0 && ce.Index < len(chunk) {
+			at = chunk[ce.Index]
+		}
+		return at, err
+	}
+	if origin != owner {
+		c.taken.Add(1)
+	}
+	for j := range chunk {
+		if replicas[j] != origin {
+			c.redispatches.Add(1)
+			c.router.failovers.Add(1)
+			break
+		}
+	}
+	// Emit the chunk, then let it go: the merged stream holds O(chunk)
+	// results per replica, never the grid.
+	for j, gi := range chunk {
+		if err := sink(gi, SweepResult{SweepResult: results[j], Owner: owner, Replica: replicas[j]}); err != nil {
+			return gi, err
+		}
+	}
+	if c.OnChunk != nil {
+		// One announcement per contiguous replica segment; a chunk
+		// answered whole by one replica is one segment.
+		for lo := 0; lo < len(chunk); {
+			hi := lo + 1
+			for hi < len(chunk) && replicas[hi] == replicas[lo] {
+				hi++
+			}
+			c.OnChunk(ChunkResult{Shard: owner, Origin: origin, Replica: replicas[lo], Indices: chunk[lo:hi], Results: results[lo:hi]})
+			lo = hi
+		}
+	}
+	return 0, nil
+}
+
+// chunkQueues holds one tier's undispatched chunks, a queue per owner:
+// owner k's grid indices, ascending, cut into size-item chunks. Owner k's
+// worker pops from the head; an idle worker takes from the tail of the
+// queue with the most chunks left, so every owner runs an ascending prefix
+// of its queue. An owner's first chunk is never taken.
+type chunkQueues struct {
+	mu         sync.Mutex
+	lists      [][]int // lists[k]: owner k's grid indices, ascending
+	size       int     // items per chunk
+	head, tail []int   // owner k's undispatched chunks are [head[k], tail[k])
+}
+
+func newChunkQueues(lists [][]int, size int) *chunkQueues {
+	q := &chunkQueues{lists: lists, size: size, head: make([]int, len(lists)), tail: make([]int, len(lists))}
+	for k, l := range lists {
+		q.tail[k] = (len(l) + size - 1) / size
+	}
+	return q
+}
+
+// next hands worker k its next chunk: the head of its own queue while one
+// is left, then, if mayTake, the tail chunk of the owner with the most
+// takeable chunks (taken is then true; ties go to the lower owner). A nil
+// chunk means worker k is done: queues only shrink, so nothing it passed
+// over can become available later.
+func (q *chunkQueues) next(k int, mayTake bool) (chunk []int, taken bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head[k] < q.tail[k] {
+		q.head[k]++
+		return q.chunk(k, q.head[k]-1), false
+	}
+	if !mayTake {
+		return nil, false
+	}
+	from, most := -1, 0
+	for j := range q.lists {
+		// Chunk 0 stays with its owner, dispatched or not.
+		if left := q.tail[j] - max(q.head[j], 1); left > most {
+			from, most = j, left
+		}
+	}
+	if from < 0 {
+		return nil, false
+	}
+	q.tail[from]--
+	return q.chunk(from, q.tail[from]), true
+}
+
+func (q *chunkQueues) chunk(k, c int) []int {
+	l := q.lists[k]
+	return l[c*q.size : min((c+1)*q.size, len(l))]
 }
 
 // fanError is fanShards' failure: the winning (lowest) global index plus
@@ -341,33 +457,30 @@ type fanError struct {
 func (e *fanError) Error() string { return fmt.Sprintf("%d: %v", e.At, e.Err) }
 func (e *fanError) Unwrap() error { return e.Err }
 
-// fanShards runs worker(k, idxs[k]) concurrently for every non-empty shard.
-// A failing worker returns the global index its failure maps to; fanShards
-// reports the failure with the lowest global index — deterministic no matter
-// which shards finish first — as a *fanError rendering "<index>: <cause>".
-func fanShards(idxs [][]int, worker func(k int, list []int) (int, error)) error {
-	shardErrs := make([]error, len(idxs)) // per-shard failure
-	shardErrAt := make([]int, len(idxs))  // global index of that failure
+// fanShards runs worker(k) concurrently for every replica k < n. A failing
+// worker returns the global index its failure maps to; fanShards reports the
+// failure with the lowest global index — deterministic no matter which
+// workers finish first — as a *fanError rendering "<index>: <cause>".
+func fanShards(n int, worker func(k int) (int, error)) error {
+	errs := make([]error, n) // per-worker failure
+	errAt := make([]int, n)  // global index of that failure
 	var wg sync.WaitGroup
-	for k := range idxs {
-		if len(idxs[k]) == 0 {
-			continue
-		}
+	for k := range n {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			shardErrAt[k], shardErrs[k] = worker(k, idxs[k])
-		}(k)
+			errAt[k], errs[k] = worker(k)
+		}()
 	}
 	wg.Wait()
 	first := -1
-	for k, err := range shardErrs {
-		if err != nil && (first == -1 || shardErrAt[k] < shardErrAt[first]) {
+	for k, err := range errs {
+		if err != nil && (first == -1 || errAt[k] < errAt[first]) {
 			first = k
 		}
 	}
 	if first >= 0 {
-		return &fanError{At: shardErrAt[first], Err: shardErrs[first]}
+		return &fanError{At: errAt[first], Err: errs[first]}
 	}
 	return nil
 }

@@ -68,7 +68,9 @@ func mergedJSON(t *testing.T, results []SweepResult) []byte {
 
 // The acceptance property of the distributed sweep: chunked dispatch to a
 // remote HTTP fleet at any shard count merges back byte-identically to
-// single-process engine.Batch over the same grid.
+// single-process engine.Batch over the same grid. On a healthy fleet every
+// item is attributed to its ring owner and runs where its chunk was sent:
+// at the owner, or at the idle replica that took the chunk.
 func TestCoordinatorSweepMatchesEngineBatchByteForByte(t *testing.T) {
 	items := coordItems()
 	refJSON := coordReference(t, items)
@@ -76,6 +78,19 @@ func TestCoordinatorSweepMatchesEngineBatchByteForByte(t *testing.T) {
 		r, _, _ := testFleet(t, n)
 		co := NewCoordinator(r)
 		co.Spec.Chunk = 2 // several chunks per shard, exercising the chunk loop
+		var mu sync.Mutex
+		origin := make([]int, len(items))
+		taken := 0
+		co.OnChunk = func(cr ChunkResult) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, i := range cr.Indices {
+				origin[i] = cr.Origin
+			}
+			if cr.Origin != cr.Shard {
+				taken++
+			}
+		}
 		results, err := co.Sweep(context.Background(), items)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -84,9 +99,15 @@ func TestCoordinatorSweepMatchesEngineBatchByteForByte(t *testing.T) {
 			t.Fatalf("n=%d: %d results for %d items", n, len(results), len(items))
 		}
 		for i, res := range results {
-			if res.Owner != r.Partitioner().Owner(items[i].Shape()) || res.Replica != res.Owner {
-				t.Fatalf("n=%d: item %d executed by replica %d (owner %d) on a healthy fleet",
-					n, i, res.Replica, res.Owner)
+			if owner := r.Partitioner().Owner(items[i].Shape()); res.Owner != owner {
+				t.Fatalf("n=%d: item %d attributed to owner %d, want the ring owner %d", n, i, res.Owner, owner)
+			}
+			if res.Replica != origin[i] {
+				t.Fatalf("n=%d: item %d sent to replica %d but executed by %d on a healthy fleet",
+					n, i, origin[i], res.Replica)
+			}
+			if origin[i] == res.Owner && res.Replica != res.Owner {
+				t.Fatalf("n=%d: untaken item %d executed by replica %d, not its owner %d", n, i, res.Replica, res.Owner)
 			}
 		}
 		if !bytes.Equal(mergedJSON(t, results), refJSON) {
@@ -95,13 +116,17 @@ func TestCoordinatorSweepMatchesEngineBatchByteForByte(t *testing.T) {
 		if co.Redispatches() != 0 {
 			t.Fatalf("n=%d: %d re-dispatches on a healthy fleet", n, co.Redispatches())
 		}
+		if int(co.Taken()) != taken {
+			t.Fatalf("n=%d: Taken() = %d, but %d chunks ran off their owner", n, co.Taken(), taken)
+		}
 	}
 }
 
 // Churn survival, the tentpole property: a replica killed mid-sweep (after
-// answering its first chunk) must not fail the sweep — its remaining chunks
-// re-dispatch through the failover ring, and the merged results stay
-// byte-identical to the unsharded path.
+// answering its first chunk) must not fail the sweep — each chunk still
+// sent to it re-dispatches through the failover ring to the next replica,
+// idle replicas may take the rest of its queue, and the merged results
+// stay byte-identical to the unsharded path.
 func TestCoordinatorSweepSurvivesChurnMidSweep(t *testing.T) {
 	items := coordItems()
 	refJSON := coordReference(t, items)
@@ -127,10 +152,27 @@ func TestCoordinatorSweepSurvivesChurnMidSweep(t *testing.T) {
 
 	co := NewCoordinator(r)
 	co.Spec.Chunk = 1 // one item per chunk: the kill lands between chunks
+	var mu sync.Mutex
+	var segs []ChunkResult
 	var kill sync.Once
 	co.OnChunk = func(cr ChunkResult) {
-		if cr.Shard == victim {
+		mu.Lock()
+		segs = append(segs, cr)
+		mu.Unlock()
+		if cr.Replica == victim {
 			kill.Do(func() { servers[victim].Close() })
+			return
+		}
+		// Hold the other workers until the victim's own worker has found
+		// it dead, so the victim's next chunk goes out to the victim and
+		// fails over rather than being taken.
+		deadline := time.Now().Add(10 * time.Second)
+		for r.Health().State(victim) == Healthy {
+			if time.Now().After(deadline) {
+				t.Error("victim not found dead within 10s of the kill")
+				return
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 	results, err := co.Sweep(context.Background(), items)
@@ -140,28 +182,41 @@ func TestCoordinatorSweepSurvivesChurnMidSweep(t *testing.T) {
 	if !bytes.Equal(mergedJSON(t, results), refJSON) {
 		t.Fatal("merged results diverge from single-process engine.Batch after churn")
 	}
-	if co.Redispatches() == 0 {
-		t.Fatal("victim's remaining chunks were not re-dispatched")
-	}
-	if got := int(co.Redispatches()); got != counts[victim]-1 {
-		t.Fatalf("%d re-dispatches, want %d (victim owned %d items at chunk size 1)",
-			got, counts[victim]-1, counts[victim])
-	}
-	redirected := 0
-	for i, res := range results {
-		if res.Owner == victim && res.Replica != victim {
-			redirected++
-			if res.Replica != (victim+1)%n {
-				t.Fatalf("item %d re-dispatched to replica %d, want next-in-ring %d",
-					i, res.Replica, (victim+1)%n)
+	answered, failedOver, takenFromVictim, taken := 0, 0, 0, 0
+	for _, cr := range segs {
+		if cr.Origin != cr.Shard {
+			taken++
+		}
+		switch {
+		case cr.Replica == victim:
+			answered++
+		case cr.Replica != cr.Origin:
+			if cr.Shard != victim || cr.Origin != victim || cr.Replica != (victim+1)%n {
+				t.Fatalf("chunk %v of shard %d sent to %d failed over to %d, want only the victim's chunks, to next-in-ring %d",
+					cr.Indices, cr.Shard, cr.Origin, cr.Replica, (victim+1)%n)
 			}
+			failedOver++
+		case cr.Shard == victim:
+			takenFromVictim++
 		}
 	}
-	if redirected != counts[victim]-1 {
-		t.Fatalf("%d items attributed to a failover replica, want %d", redirected, counts[victim]-1)
+	if answered != 1 {
+		t.Fatalf("victim answered %d chunks, want only the one before the kill", answered)
 	}
-	if st := r.Stats(context.Background()); st.Failovers == 0 {
-		t.Fatal("router stats did not record the re-dispatches")
+	if failedOver == 0 {
+		t.Fatal("victim's next chunk was not re-dispatched")
+	}
+	if got := int(co.Redispatches()); got != failedOver {
+		t.Fatalf("%d re-dispatches, want the %d chunks that failed over", got, failedOver)
+	}
+	if failedOver+takenFromVictim != counts[victim]-1 {
+		t.Fatalf("%d victim chunks failed over and %d taken, want the %d after its first", failedOver, takenFromVictim, counts[victim]-1)
+	}
+	if int(co.Taken()) != taken {
+		t.Fatalf("Taken() = %d, want the %d chunks sent off their owner", co.Taken(), taken)
+	}
+	if st := r.Stats(context.Background()); st.Failovers != co.Redispatches() {
+		t.Fatalf("router stats recorded %d failovers, want the %d re-dispatches", st.Failovers, co.Redispatches())
 	}
 }
 
@@ -187,8 +242,9 @@ func TestCoordinatorSweepReadmitsRestartedReplicaMidSweep(t *testing.T) {
 	if counts[victim] < 2 {
 		t.Fatal("no shard owns two quick-grid shapes; extend the grid")
 	}
-	// Guarantee work after the re-admission: the tail repeats a
-	// victim-owned shape, so its chunks run once the victim is back.
+	// Guarantee work after the re-admission: the story takes three of
+	// the victim's chunks (kill, failover, reclaim), and the tail repeats
+	// a victim-owned shape so its queue holds more.
 	var tail serve.SweepItem
 	for _, it := range items {
 		if part.Owner(it.Shape()) == victim {
@@ -269,19 +325,39 @@ func TestCoordinatorSweepReadmitsRestartedReplicaMidSweep(t *testing.T) {
 	co.Spec.Chunk = 1                             // the kill and the restart land between chunks
 	co.Spec.ProbeInterval = 10 * time.Millisecond // re-admit fast enough to matter mid-sweep
 
-	var kill, restart sync.Once
+	// The victim's own worker sends every chunk of the story to the
+	// victim: the first is answered and kills it, the next fails over and
+	// restarts it, and the one after that is the reclaim. The other
+	// workers are held at their first chunk until the reclaim, so they
+	// cannot take the victim's queue while it is down.
+	var kill, restart, reclaim sync.Once
 	readmitted := make(chan struct{})
+	reclaimed := make(chan struct{})
+	reclaimedAt := -1
 	co.OnChunk = func(cr ChunkResult) {
-		if cr.Shard != victim {
+		if cr.Origin != victim {
+			select {
+			case <-reclaimed:
+			case <-time.After(20 * time.Second):
+				t.Error("victim reclaimed no chunk within 20s")
+			}
 			return
 		}
 		if cr.Replica == victim {
-			kill.Do(func() { _ = srvs[victim].Close() })
+			select {
+			case <-readmitted:
+				reclaim.Do(func() {
+					reclaimedAt = cr.Indices[0]
+					close(reclaimed)
+				})
+			default:
+				kill.Do(func() { _ = srvs[victim].Close() })
+			}
 			return
 		}
 		// Failover observed: bring the victim back on its old address and
-		// block this shard's sweep goroutine until the prober re-admits
-		// it, so the remaining chunks run against a healthy owner.
+		// block this worker until the prober re-admits it, so its next
+		// chunk runs against a healthy owner.
 		restart.Do(func() {
 			if err := listen(victim, 50); err != nil {
 				t.Errorf("restarting victim: %v", err)
@@ -307,18 +383,18 @@ func TestCoordinatorSweepReadmitsRestartedReplicaMidSweep(t *testing.T) {
 		t.Fatalf("sweep across kill+restart of replica %d: %v", victim, err)
 	}
 	select {
-	case <-readmitted:
+	case <-reclaimed:
 	default:
-		t.Fatal("sweep finished without the victim being killed, failed over, and re-admitted")
+		t.Fatal("sweep finished without the victim being killed, failed over, re-admitted, and reclaiming a chunk")
 	}
 	if !bytes.Equal(mergedJSON(t, results), refJSON) {
 		t.Fatal("merged results diverge from single-process engine.Batch across kill+restart")
 	}
-	// The tail chunks ran after the blocking re-admission wait, so the
-	// recovered victim must have reclaimed them.
-	last := results[len(results)-1]
-	if last.Owner != victim || last.Replica != victim {
-		t.Fatalf("final victim-owned item answered by replica %d, want the re-admitted owner %d", last.Replica, victim)
+	// The recovered victim ran the chunk its worker sent after the
+	// re-admission wait.
+	if res := results[reclaimedAt]; res.Owner != victim || res.Replica != victim {
+		t.Fatalf("item %d after re-admission: owner %d, replica %d, want the re-admitted owner %d both",
+			reclaimedAt, res.Owner, res.Replica, victim)
 	}
 	if co.Redispatches() == 0 {
 		t.Fatal("no chunk left the victim while it was down")

@@ -187,14 +187,20 @@ func TestSweepOverPreDeadReplicaPaysOneProbeTimeout(t *testing.T) {
 	if !bytes.Equal(mergedJSON(t, results), refJSON) {
 		t.Fatal("degraded merge diverges from single-process engine.Batch")
 	}
-	if got := int(co.Redispatches()); got != counts[dead] {
-		t.Fatalf("%d re-dispatches, want %d (every chunk the dead shard owned)", got, counts[dead])
+	// Every chunk the dead shard owned ran on the healthy replica: its
+	// first, and whichever later ones the dead shard's worker sent, failed
+	// over; the healthy replica took the rest from the tail.
+	if got := int(co.Redispatches() + co.Taken()); got != counts[dead] || co.Redispatches() == 0 {
+		t.Fatalf("%d re-dispatches + %d taken chunks, want %d (every chunk the dead shard owned, its first re-dispatched)",
+			co.Redispatches(), co.Taken(), counts[dead])
 	}
 	if r.Health().State(dead) != Dead {
 		t.Fatalf("dead replica state = %v after the sweep", r.Health().State(dead))
 	}
-	if r.Health().Skips() == 0 {
-		t.Fatal("health plane recorded no skipped attempts; every chunk paid the probe")
+	// Each re-dispatch after the probe skipped the dead replica instead
+	// of paying another timeout.
+	if got, want := r.Health().Skips(), co.Redispatches()-1; got != want {
+		t.Fatalf("health plane skipped %d attempts, want %d (one per re-dispatch after the probe)", got, want)
 	}
 }
 
@@ -292,7 +298,9 @@ func (c *streamStub) Sweep(_ context.Context, req serve.SweepRequest, sink serve
 // end short of the chunk — stops the chunk's dispatch at once: the replica
 // answered, so it stays healthy and the chunk is not retried elsewhere; the
 // sweep fails at the chunk's first item naming the replica, and nothing of
-// that chunk is emitted.
+// that chunk is emitted. The other replica is dead with its cooldown over:
+// it takes no chunk, since it is not Healthy, but a failover would reach
+// it with a trial.
 func TestDispatchStopsOnMalformedReply(t *testing.T) {
 	part := NewPartitioner(2)
 	var shape serve.SweepItem
@@ -327,10 +335,9 @@ func TestDispatchStopsOnMalformedReply(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			chunks := 0
+			var chunks atomic.Int64
 			owner := &streamStub{stream: func(req serve.SweepRequest, sink serve.SweepSink) error {
-				chunks++
-				if chunks == 1 { // the first chunk is answered whole
+				if chunks.Add(1) == 1 { // the first chunk is answered whole
 					for j := range req.Items {
 						if err := sink(j, serve.SweepResult{}); err != nil {
 							return err
@@ -349,6 +356,12 @@ func TestDispatchStopsOnMalformedReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			h := r.Health()
+			h.SetCooldown(time.Hour) // the sweep's prober never ticks
+			now := time.Unix(1000, 0)
+			h.now = func() time.Time { return now }
+			h.MarkFailed(1)
+			now = now.Add(time.Hour)
 			co := NewCoordinator(r)
 			co.Spec.Chunk = 2
 			var emitted []int
@@ -367,6 +380,9 @@ func TestDispatchStopsOnMalformedReply(t *testing.T) {
 			}
 			if n := otherCalls.Load(); n != 0 {
 				t.Fatalf("other replica called %d times; a malformed reply must not fail over", n)
+			}
+			if got := h.State(1); got != Dead {
+				t.Fatalf("other replica = %v, want dead with no trial claimed", got)
 			}
 			if len(emitted) != 2 || emitted[0] != 0 || emitted[1] != 1 {
 				t.Fatalf("emitted %v, want only the first chunk [0 1]", emitted)
@@ -622,7 +638,11 @@ func TestCoordinatorSalvagesPartialChunk(t *testing.T) {
 	co := NewCoordinator(r)
 	co.Spec.Chunk = len(items)
 	var segments []ChunkResult
-	co.OnChunk = func(cr ChunkResult) { segments = append(segments, cr) }
+	co.OnChunk = func(cr ChunkResult) {
+		mu.Lock()
+		segments = append(segments, cr)
+		mu.Unlock()
+	}
 
 	results, err := co.Sweep(context.Background(), items)
 	if err != nil {

@@ -675,10 +675,12 @@ type ReplicaStats struct {
 type RouterStats struct {
 	Replicas int `json:"replicas"`
 	// Failovers counts ring departures: one per query answered off-owner
-	// plus one per sweep chunk any of whose items left the owner
-	// (chunk-granular, matching Coordinator.Redispatches) — a rate
-	// signal for "how often is ownership being dodged", not an item
-	// count; RoutedSweepItems carries the per-item accounting.
+	// plus one per sweep chunk any of whose items left the replica the
+	// chunk was sent to (chunk-granular, matching
+	// Coordinator.Redispatches; a chunk an idle replica took is not a
+	// departure) — a rate signal for "how often is a dead replica being
+	// dodged", not an item count; RoutedSweepItems carries the per-item
+	// accounting.
 	Failovers uint64 `json:"failovers"`
 	// Readmissions counts dead replicas brought back: successful trial
 	// dispatches after a cooldown plus /healthz probe re-admissions.
@@ -754,7 +756,9 @@ type RoutedResponse struct {
 
 // RoutedSweepResponse is the router's buffered (v1) /sweep reply: per-item
 // results with routing attribution, plus the number of chunks this sweep
-// re-dispatched through the failover ring.
+// re-dispatched through the failover ring. Chunks idle replicas took are
+// not re-dispatches: on a healthy fleet Redispatches stays 0 even where a
+// result's Replica differs from its Owner.
 type RoutedSweepResponse struct {
 	Results      []SweepResult `json:"results"`
 	Redispatches uint64        `json:"redispatches"`
@@ -854,7 +858,7 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		defer cancel()
 		if serve.StreamRequested(req, sr) {
 			// Stream's merged emissions become result frames as each
-			// chunk completes, so the router holds O(chunk) per shard,
+			// chunk completes, so the router holds O(chunk) per replica,
 			// never the grid.
 			st := serve.NewSweepStream[SweepResult](w)
 			st.End(co.Stream(ctx, sr.Items, st.Result), errorReply)

@@ -3,8 +3,9 @@
 // plane across N replicas, a fan-out Router that forwards queries to the
 // owning replica (with failover, health-driven rebalancing, and merged
 // stats), and a sharded sweep driver that splits a tuning or execution grid
-// into per-shard sub-grids, runs them concurrently, and merges the results
-// back into the deterministic global order.
+// into per-shard chunk queues, runs them on every replica at once (an idle
+// replica takes untuned chunks of a shard with a backlog), and merges the
+// results back into the deterministic global order.
 //
 // The partitioner works in the same log-space plane the tuner's
 // nearest-neighbor cache matches in (§4.2.2): shapes are quantized to

@@ -165,31 +165,37 @@ func TestRouterStreamSweepAcrossKillRebalanceAndHandback(t *testing.T) {
 
 	// The victim must own both tiers: an analytic keeper (proving it
 	// participated before dying) and at least one refined item (work that
-	// must fail over after it dies).
+	// must fail over after it dies). Its first item must be the keeper:
+	// an owner's first chunk is never taken, so the victim answers it
+	// whatever the idle replicas take.
 	part := NewPartitioner(n)
 	isRefined := make(map[int]bool)
 	for _, gi := range refined {
 		isRefined[gi] = true
 	}
-	keeperOwned := make([]int, n)
+	firstOwned := make([]int, n)
 	refinedOwned := make([]int, n)
+	for k := range firstOwned {
+		firstOwned[k] = -1
+	}
 	for i, it := range items {
 		o := part.Owner(it.Shape())
+		if firstOwned[o] < 0 {
+			firstOwned[o] = i
+		}
 		if isRefined[i] {
 			refinedOwned[o]++
-		} else {
-			keeperOwned[o]++
 		}
 	}
 	victim := -1
 	for k := 0; k < n; k++ {
-		if keeperOwned[k] > 0 && refinedOwned[k] > 0 {
+		if firstOwned[k] >= 0 && !isRefined[firstOwned[k]] && refinedOwned[k] > 0 {
 			victim = k
 			break
 		}
 	}
 	if victim < 0 {
-		t.Fatal("no shard owns items in both tiers; extend the grid")
+		t.Fatal("no shard owns a refined item and opens its queue with a keeper; extend the grid")
 	}
 
 	// The fleet: the victim's handler simulates a crash at its first

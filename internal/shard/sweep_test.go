@@ -38,11 +38,11 @@ func quickGridRuns() []core.Options {
 // sweepLocal is the sharded engine.Batch: it sweeps runs through one
 // Coordinator per platform, each over n in-process replicas (LocalClients)
 // of that platform, and scatters the results back so results[i] answers
-// runs[i]. Runs must be untuned and share one GPU count per platform.
-// fleets[p][k] is replica k of the p-th platform in order of first
-// appearance. A failure names its item by its index among its platform's
-// runs.
-func sweepLocal(t *testing.T, n int, runs []core.Options) (results []*core.Result, fleets [][]*serve.Service, err error) {
+// runs[i], with Replica indexing the run's platform fleet. Runs must be
+// untuned and share one GPU count per platform. fleets[p][k] is replica k
+// of the p-th platform in order of first appearance. A failure names its
+// item by its index among its platform's runs.
+func sweepLocal(t *testing.T, n int, runs []core.Options) (results []SweepResult, fleets [][]*serve.Service, err error) {
 	t.Helper()
 	byPlat := map[string][]int{}
 	var plats []string
@@ -52,7 +52,7 @@ func sweepLocal(t *testing.T, n int, runs []core.Options) (results []*core.Resul
 		}
 		byPlat[o.Plat.Name] = append(byPlat[o.Plat.Name], i)
 	}
-	results = make([]*core.Result, len(runs))
+	results = make([]SweepResult, len(runs))
 	for _, name := range plats {
 		idxs := byPlat[name]
 		clients := make([]Client, n)
@@ -79,7 +79,7 @@ func sweepLocal(t *testing.T, n int, runs []core.Options) (results []*core.Resul
 			return nil, fleets, err
 		}
 		for j, gi := range idxs {
-			results[gi] = got[j].Result
+			results[gi] = got[j]
 		}
 	}
 	return results, fleets, nil
@@ -99,9 +99,13 @@ func TestSweepBatchMatchesUnshardedByteForByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 5; n++ {
-		got, _, err := sweepLocal(t, n, runs)
+		swept, _, err := sweepLocal(t, n, runs)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
+		}
+		got := make([]*core.Result, len(swept))
+		for i, res := range swept {
+			got[i] = res.Result
 		}
 		if len(got) != len(reference) {
 			t.Fatalf("n=%d: %d results, want %d", n, len(got), len(reference))
@@ -123,32 +127,57 @@ func TestSweepBatchMatchesUnshardedByteForByte(t *testing.T) {
 	}
 }
 
-// Replica-local plan caches must stay disjoint and still compile each
-// unique plan exactly once fleet-wide.
+// Replica-local plan caches stay disjoint: each replica compiles each
+// unique plan it executes exactly once. Late binding may run one run's
+// duplicates on two replicas, so the count is per replica — the unique
+// runs among the items that replica executed — not one per run fleet-wide.
 func TestSweepBatchCompilesEachPlanOncePerShard(t *testing.T) {
 	runs := quickGridRuns()
 	// Duplicate the grid so plan caching has hits to find.
 	runs = append(runs, quickGridRuns()...)
 	const n = 3
-	_, fleets, err := sweepLocal(t, n, runs)
+	results, fleets, err := sweepLocal(t, n, runs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	type run struct {
+		plat  string
+		shape gemm.Shape
+		prim  hw.Primitive
+	}
+	plats := map[string]int{} // platform name -> fleet index
+	unique := make([][]map[run]bool, len(fleets))
+	for p := range unique {
+		unique[p] = make([]map[run]bool, n)
+		for k := range unique[p] {
+			unique[p][k] = map[run]bool{}
+		}
+	}
+	for i, o := range runs {
+		p, ok := plats[o.Plat.Name]
+		if !ok {
+			p = len(plats)
+			plats[o.Plat.Name] = p
+		}
+		unique[p][results[i].Replica][run{o.Plat.Name, o.Shape, o.Prim}] = true
 	}
 	var misses uint64
 	for k := 0; k < n; k++ {
 		var used uint64
-		for _, fleet := range fleets {
+		for p, fleet := range fleets {
 			e := fleet[k].Stats().Engine
 			used += e.Hits + e.Misses
 			misses += e.Misses
+			if want := uint64(len(unique[p][k])); e.Misses != want {
+				t.Errorf("platform %d replica %d compiled %d plans, want one per unique run it executed (%d)", p, k, e.Misses, want)
+			}
 		}
 		if used == 0 {
-			t.Errorf("idle shard %d: partitioner sent it nothing from the quick grid", k)
+			t.Errorf("idle shard %d: the sweep ran nothing on it", k)
 		}
 	}
-	unique := len(quickGridRuns())
-	if misses != uint64(unique) {
-		t.Fatalf("fleet compiled %d plans, want one per unique run (%d)", misses, unique)
+	if misses < uint64(len(quickGridRuns())) {
+		t.Fatalf("fleet compiled %d plans, fewer than the %d unique runs", misses, len(quickGridRuns()))
 	}
 }
 
