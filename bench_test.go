@@ -890,7 +890,7 @@ func BenchmarkServeWarmQueryEncoded(b *testing.B) {
 	}
 	b.StopTimer()
 	// Pre-create the tenant so the alloc probe below measures the steady
-	// state: the first labeled request registers the tenant's instruments
+	// state: the first labeled request creates the tenant's instruments
 	// (allocates, once per tenant), every later one takes the read-locked
 	// map hit.
 	svc.ObserveQuery("bench-tenant", time.Microsecond, true)

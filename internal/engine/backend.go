@@ -1,72 +1,12 @@
 package engine
 
 import (
-	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/stats"
 )
-
-// Fidelity re-exports core.Fidelity: callers configuring engine runs should
-// not need a second import just for the label type.
-type Fidelity = core.Fidelity
-
-// The execution fidelities the engine dispatches on.
-const (
-	FidelityDES      = core.FidelityDES
-	FidelityAnalytic = core.FidelityAnalytic
-)
-
-// Backend executes a compiled plan at one fidelity. The engine owns two:
-// the DES backend runs the discrete-event simulator (ground truth), the
-// analytic backend evaluates the Algorithm 1 predictor over an
-// offline-sampled bandwidth curve without touching the simulator. Both are
-// deterministic, so sweeps stay byte-reproducible at any fidelity mix.
-type Backend interface {
-	// Fidelity names the label stamped on results this backend produces.
-	Fidelity() core.Fidelity
-	// Exec runs one evaluation of the compiled plan under the variant.
-	// ctx bounds the evaluation; a cancelled context stops a DES run
-	// between simulator events and surfaces as ctx.Err().
-	Exec(ctx context.Context, p *Plan, v core.Variant) (*core.Result, error)
-}
-
-// desBackend is the simulator path — the engine's historical behavior.
-type desBackend struct{}
-
-func (desBackend) Fidelity() core.Fidelity { return core.FidelityDES }
-func (desBackend) Exec(ctx context.Context, p *Plan, v core.Variant) (*core.Result, error) {
-	return p.c.Exec(ctx, v)
-}
-
-// analyticBackend evaluates plans with core.ExecAnalytic, resolving the
-// bandwidth curve from the engine's per-(platform, group, primitive) cache.
-// A single analytic evaluation is microseconds of pure arithmetic, so it
-// ignores ctx; cancellation of analytic sweeps is enforced between items by
-// Batch's per-claim check.
-type analyticBackend struct{ e *Engine }
-
-func (b analyticBackend) Fidelity() core.Fidelity { return core.FidelityAnalytic }
-func (b analyticBackend) Exec(_ context.Context, p *Plan, v core.Variant) (*core.Result, error) {
-	o := p.c.Options()
-	return p.c.ExecAnalytic(v, b.e.curve(o.Plat, o.NGPUs, o.Prim))
-}
-
-// backend resolves the variant's fidelity to an execution backend; "" is
-// DES, keeping zero-valued options on the ground-truth path.
-func (e *Engine) backend(f core.Fidelity) (Backend, error) {
-	switch f {
-	case "", core.FidelityDES:
-		return desBackend{}, nil
-	case core.FidelityAnalytic:
-		return analyticBackend{e: e}, nil
-	}
-	return nil, fmt.Errorf("engine: unknown fidelity %q", f)
-}
 
 // curveKey identifies one offline bandwidth curve. hw.Platform is a plain
 // scalar struct, so the composite key is comparable.

@@ -10,9 +10,11 @@
 //     platform-dependent — normalized options, the tile grid, the
 //     GEMM cost model, the wave-group partition bounds — into an immutable
 //     *Plan that is safe for concurrent reuse.
-//   - Exec(plan, variant) runs one simulation of a compiled plan against a
-//     fresh simulator and cluster, varying only the per-run knobs (seed,
-//     imbalance, wave-size override, functional data, tracing).
+//   - Engine.ExecPlan(plan, variant) runs one execution of a compiled plan
+//     at the variant's fidelity — a simulation against a fresh simulator
+//     and cluster, or an analytic evaluation — varying only the per-run
+//     knobs (seed, imbalance, wave-size override, functional data,
+//     tracing).
 //   - Engine.Batch fans a slice of runs across a bounded worker pool with
 //     deterministic result ordering (results[i] always answers runs[i],
 //     regardless of worker count), deduplicating compilation through an LRU
@@ -37,7 +39,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gemm"
 	"repro/internal/hw"
-	"repro/internal/metrics"
 )
 
 // Key identifies a compiled plan: every Options field that shapes the plan
@@ -77,11 +78,10 @@ func keyOf(o core.Options) Key {
 	}
 }
 
-// Plan is an immutable compiled execution plan plus its cache identity.
-// Concurrent Exec calls on one Plan are safe.
+// Plan is an immutable compiled execution plan. Concurrent executions of
+// one Plan are safe.
 type Plan struct {
-	Key Key
-	c   *core.Compiled
+	c *core.Compiled
 }
 
 // Compile builds a plan outside any cache (the cold path; Engine.Plan is the
@@ -94,22 +94,7 @@ func Compile(o core.Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Key: keyOf(o), c: c}, nil
-}
-
-// Compiled exposes the underlying core plan.
-func (p *Plan) Compiled() *core.Compiled { return p.c }
-
-// Exec runs one simulation of the plan under the variant. ctx cancellation
-// stops the simulation between events and returns ctx.Err().
-func (p *Plan) Exec(ctx context.Context, v core.Variant) (*core.Result, error) {
-	return p.c.Exec(ctx, v)
-}
-
-// Exec runs one simulation of a compiled plan — the online half of the
-// Compile/Exec split.
-func Exec(ctx context.Context, p *Plan, v core.Variant) (*core.Result, error) {
-	return p.c.Exec(ctx, v)
+	return &Plan{c: c}, nil
 }
 
 // DefaultCacheSize bounds the default engine's plan cache. A Table 3 grid
@@ -126,10 +111,7 @@ type Engine struct {
 	// bandwidth curve per (platform, group size, primitive).
 	curves curveCache
 
-	// reg registers the plan-cache counters under the exact keys the Stats
-	// snapshot exports them as.
-	reg          *metrics.Registry
-	hits, misses *metrics.Counter
+	hits, misses atomic.Uint64 // plan-cache lookups, behind Stats
 }
 
 // New builds an engine with the given worker-pool width and plan-cache
@@ -142,13 +124,9 @@ func New(workers, cacheSize int) *Engine {
 	if cacheSize <= 0 {
 		cacheSize = DefaultCacheSize
 	}
-	reg := metrics.NewRegistry()
 	return &Engine{
 		workers: workers,
 		cache:   newPlanCache(cacheSize),
-		reg:     reg,
-		hits:    reg.Counter("hits"),
-		misses:  reg.Counter("misses"),
 	}
 }
 
@@ -198,7 +176,7 @@ func (e *Engine) compile(ent *cacheEntry, o core.Options) (p *Plan, err error) {
 }
 
 // Exec runs o through the plan cache: compile (or reuse) the plan, then
-// execute o's variant on the backend its Fidelity selects. It is the
+// execute o's variant at the fidelity it names. It is the
 // drop-in replacement for core.Run in sweep loops. ctx cancellation aborts
 // a DES execution between simulator events and surfaces as ctx.Err().
 func (e *Engine) Exec(ctx context.Context, o core.Options) (*core.Result, error) {
@@ -209,15 +187,23 @@ func (e *Engine) Exec(ctx context.Context, o core.Options) (*core.Result, error)
 	return e.ExecPlan(ctx, p, core.VariantOf(o))
 }
 
-// ExecPlan executes one variant of an already-compiled plan, dispatching on
-// the variant's fidelity: DES (the default) simulates, analytic evaluates
-// the Algorithm 1 predictor against the engine's bandwidth-curve cache.
+// ExecPlan executes one variant of an already-compiled plan at the
+// variant's fidelity. DES ("" or "des", the ground truth) runs the
+// discrete-event simulator; ctx cancellation stops it between events and
+// returns ctx.Err(). Analytic evaluates the Algorithm 1 predictor over the
+// engine's bandwidth curve for the plan's (platform, group, primitive),
+// without the simulator; one evaluation is microseconds of arithmetic, so
+// it ignores ctx and Batch checks cancellation between items. Both are
+// deterministic, so sweeps stay byte-reproducible at any fidelity mix.
 func (e *Engine) ExecPlan(ctx context.Context, p *Plan, v core.Variant) (*core.Result, error) {
-	b, err := e.backend(v.Fidelity)
-	if err != nil {
-		return nil, err
+	switch v.Fidelity {
+	case "", core.FidelityDES:
+		return p.c.Exec(ctx, v)
+	case core.FidelityAnalytic:
+		o := p.c.Options()
+		return p.c.ExecAnalytic(v, e.curve(o.Plat, o.NGPUs, o.Prim))
 	}
-	return b.Exec(ctx, p, v)
+	return nil, fmt.Errorf("engine: unknown fidelity %q", v.Fidelity)
 }
 
 // RunError is the error Batch returns: the failing run's input index plus
@@ -310,7 +296,9 @@ func (e *Engine) CacheStats() (hits, misses uint64, size int) {
 }
 
 // Stats is a point-in-time snapshot of an engine's plan-cache counters, in a
-// form a serving layer can embed directly in a JSON status endpoint.
+// form a serving layer can embed directly in a JSON status endpoint. When a
+// router merges replica snapshots every field sums, Size, Capacity and
+// Workers included: across disjoint replicas they read as fleet totals.
 type Stats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
@@ -319,15 +307,6 @@ type Stats struct {
 	Capacity int `json:"capacity"`
 	// Workers is the pool width Batch fans across.
 	Workers int `json:"workers"`
-}
-
-// Add accumulates another engine's snapshot into this one — the merge a
-// shard router performs when it aggregates replica /stats. Size, Capacity,
-// and Workers sum too: across disjoint replicas they read as fleet totals.
-// The snapshot is plain mergeable state, so the generic snapshot merge
-// applies: every numeric field sums, including any added later.
-func (s Stats) Add(o Stats) Stats {
-	return metrics.MergeSnapshots(s, o)
 }
 
 // Stats snapshots the plan-cache counters. Hits and misses are read

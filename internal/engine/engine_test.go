@@ -184,6 +184,7 @@ func TestExecVariantOnCachedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := New(1, 0)
 
 	// Timing variant with a misconfigured wave size, against core.Run.
 	mis := base
@@ -192,7 +193,7 @@ func TestExecVariantOnCachedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Exec(context.Background(), plan, core.Variant{WaveSizeOverride: trueSMs + 3})
+	got, err := e.ExecPlan(context.Background(), plan, core.Variant{WaveSizeOverride: trueSMs + 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +209,26 @@ func TestExecVariantOnCachedPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotF, err := Exec(context.Background(), plan, core.Variant{Functional: true, Seed: 77})
+	gotF, err := e.ExecPlan(context.Background(), plan, core.Variant{Functional: true, Seed: 77})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !gotF.AROutput(0).Equal(wantF.AROutput(0)) {
 		t.Error("functional variant output differs from core.Run")
+	}
+}
+
+// ExecPlan executes DES and analytic variants only; any other label is an
+// error, not a silent DES run.
+func TestExecRejectsUnknownFidelity(t *testing.T) {
+	o := core.Options{
+		Plat: testPlatform(), NGPUs: 2, Shape: gemm.Shape{M: 32, N: 32, K: 4},
+		Cfg: gemm.Config{TileM: 8, TileN: 8, Swizzle: 2}, Prim: hw.AllReduce,
+		Fidelity: "bogus",
+	}
+	_, err := New(1, 0).Exec(context.Background(), o)
+	if err == nil || !strings.Contains(err.Error(), `engine: unknown fidelity "bogus"`) {
+		t.Fatalf("Exec at fidelity %q: err = %v, want the unknown-fidelity error", o.Fidelity, err)
 	}
 }
 

@@ -1,8 +1,24 @@
+// Package metrics is the mergeable half of the stats plane every layer
+// counts into: fixed-boundary latency histograms and the generic snapshot
+// merge. A counter is a plain atomic.Uint64 field of the struct that owns
+// it, and a histogram a Histogram value field; each layer copies them into
+// a snapshot struct whose JSON tags are its /stats keys. Snapshot structs
+// are plain data, and MergeSnapshots folds two of them by reflection:
+// numeric fields sum, string sets union, histograms add bucket-wise, maps
+// merge by key union. A field added to a snapshot struct participates in
+// every merge automatically, so no layer keeps a field-by-field merge that
+// could forget a counter.
+//
+// Histograms use fixed bucket boundaries, so two replicas' histograms
+// merge by bucket-wise sum into exactly the histogram a single process
+// observing both streams would have built: shard-merged percentiles are
+// exact at bucket resolution, not an approximation of an approximation.
 package metrics
 
 import (
 	"encoding/json"
 	"sort"
+	"sync/atomic"
 	"time"
 )
 
@@ -62,9 +78,9 @@ func BucketBound(i int) time.Duration {
 // it is safe on the pre-encoded warm /query fast path whose contract is
 // zero allocations per request. The zero value is ready to use.
 type Histogram struct {
-	count   Counter
-	sum     Counter // nanoseconds
-	buckets [NumBuckets]Counter
+	count   atomic.Uint64
+	sum     atomic.Uint64 // nanoseconds
+	buckets [NumBuckets]atomic.Uint64
 }
 
 // Observe records one duration. Negative durations clamp to zero.
@@ -102,8 +118,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // HistogramSnapshot is a histogram's point-in-time wire form. It is plain
-// mergeable state: Count and SumNs sum, Buckets sum element-wise (the fixed
-// boundaries make that exact). The derived percentiles (p50/p95/p99) are
+// mergeable state: under MergeSnapshots Count and SumNs sum and Buckets sum
+// element-wise, and because every histogram shares the same fixed
+// boundaries, the result is exactly the snapshot one process observing both
+// streams would have produced. The derived percentiles (p50/p95/p99) are
 // not state — MarshalJSON computes them from the buckets on the way out, so
 // merging never has to average an average and a decode/encode round trip is
 // byte-stable.
@@ -111,13 +129,6 @@ type HistogramSnapshot struct {
 	Count   uint64   `json:"count"`
 	SumNs   uint64   `json:"sum_ns"`
 	Buckets []uint64 `json:"buckets"`
-}
-
-// Merge adds another snapshot bucket-wise. Because every histogram shares
-// the same fixed boundaries, the result is exactly the snapshot one process
-// observing both streams would have produced.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) HistogramSnapshot {
-	return MergeSnapshots(s, o)
 }
 
 // Quantile returns the q-quantile (0 < q <= 1) as the upper bound of the

@@ -80,7 +80,7 @@ func TestMergeEquivalence(t *testing.T) {
 	}
 	merged := shards[0].Snapshot()
 	for _, h := range shards[1:] {
-		merged = merged.Merge(h.Snapshot())
+		merged = MergeSnapshots(merged, h.Snapshot())
 	}
 	want := single.Snapshot()
 	if !reflect.DeepEqual(merged, want) {

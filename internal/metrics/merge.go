@@ -6,11 +6,11 @@ import (
 )
 
 // MergeSnapshots folds two snapshot values of the same type into the
-// fleet-merged view — the one merge routine behind serve.Stats.Merge,
-// engine.Stats.Add, and every histogram and tenant map in between. A field
-// added to any snapshot struct participates automatically; before this,
-// each layer hand-maintained a field-by-field merge that silently dropped
-// any counter the author forgot.
+// fleet-merged view — the one merge routine behind serve.Stats.Merge and
+// every engine block, histogram and tenant map inside it. A field added to
+// any snapshot struct participates automatically; before this, each layer
+// hand-maintained a field-by-field merge that silently dropped any counter
+// the author forgot.
 //
 // The rules, chosen to reproduce the hand-written merges exactly:
 //

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -121,6 +122,36 @@ func StreamRequested(r *http.Request, req SweepRequest) bool {
 	return req.Stream || strings.Contains(r.Header.Get("Accept"), ContentTypeNDJSON)
 }
 
+// ReadSweepRequest reads a POST /sweep request for a replica and for the
+// router alike. The body must be exactly one JSON object, with nothing
+// after it but whitespace, naming at least one item: a second request or
+// trailing garbage is rejected, not silently dropped. On a rejection it
+// writes the 405 or 400 reply and returns false.
+func ReadSweepRequest(w http.ResponseWriter, r *http.Request) (SweepRequest, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: /sweep takes POST, got %s", r.Method))
+		return SweepRequest{}, false
+	}
+	var req SweepRequest
+	dec := json.NewDecoder(r.Body)
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding sweep request: %w", err))
+		return SweepRequest{}, false
+	}
+	if len(req.Items) == 0 {
+		WriteError(w, http.StatusBadRequest, errors.New("serve: sweep request has no items"))
+		return SweepRequest{}, false
+	}
+	return req, true
+}
+
 // Handler mounts the service on an HTTP mux:
 //
 //	GET  /query?m=4096&n=8192&k=8192&prim=AR[&imbalance=1.2]
@@ -211,18 +242,8 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 		s.ObserveQuery(q.Tenant, time.Since(start), ans.Source == SourceCache)
 	})
 	mux.HandleFunc("/sweep", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: /sweep takes POST, got %s", r.Method))
-			return
-		}
-		var req SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding sweep request: %w", err))
-			return
-		}
-		if len(req.Items) == 0 {
-			WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: sweep request has no items"))
+		req, ok := ReadSweepRequest(w, r)
+		if !ok {
 			return
 		}
 		ctx, cancel := reqCtx(r)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -266,6 +267,16 @@ func TestHandlerSweepTuned(t *testing.T) {
 	}
 }
 
+// badSweepBodies are /sweep bodies every handler rejects with a 400: a
+// malformed body, an empty chunk, and a valid request followed by more
+// data, which a decoder that stops after the first value would run.
+var badSweepBodies = []string{
+	"{not json",
+	`{"items": []}`,
+	`{"items": [{"m": 2048, "n": 8192, "k": 4096, "prim": "AR"}]}garbage`,
+	`{"items": [{"m": 2048, "n": 8192, "k": 4096, "prim": "AR"}]}{"items": [{"m": 2048, "n": 8192, "k": 4096, "prim": "AR"}]}`,
+}
+
 // /sweep errors classify like /query errors and carry the chunk-local index
 // of the failing item, so a coordinator can attribute the failure to a
 // global grid index.
@@ -284,8 +295,7 @@ func TestHandlerSweepErrors(t *testing.T) {
 		t.Fatalf("GET /sweep status = %d, want 405", resp.StatusCode)
 	}
 
-	// Malformed body and empty chunk.
-	for _, body := range []string{"{not json", `{"items": []}`} {
+	for _, body := range badSweepBodies {
 		resp, err := http.Post(srv.URL+"/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -429,6 +439,45 @@ func TestHandlerHealthz(t *testing.T) {
 	if body["status"] != "ok" || body["shard"] != "1/4" {
 		t.Fatalf("body = %v, want status ok with shard 1/4", body)
 	}
+}
+
+// FuzzSweepRequest holds ReadSweepRequest to json.Unmarshal: on any body it
+// never panics, accepts exactly when json.Unmarshal into a SweepRequest
+// accepts and the request names an item, decodes an accepted body to a
+// request reflect.DeepEqual to json.Unmarshal's, and rejects the rest with
+// a 400.
+func FuzzSweepRequest(f *testing.F) {
+	for _, body := range append([]string{
+		// The v2 smoke body CI's multihost job posts to the router.
+		`{"items":[{"m":2048,"n":8192,"k":4096,"prim":"AR"},{"m":4096,"n":8192,"k":4096,"prim":"AR"},{"m":4096,"n":8192,"k":8192,"prim":"AR"},{"m":8192,"n":8192,"k":4096,"prim":"AR"}]}`,
+		`{"tune": true, "chunk": 8, "attempts": 2, "fidelity": "mixed", "topk": 2, "rank_quantum": 2.5, "tenant": "team-a", "stream": true,` +
+			` "items": [{"m": 4096, "n": 8192, "k": 8192, "prim": "A2A", "imbalance": 1.3, "fidelity": "des"}]}` + "\n",
+		"",
+		"null",
+	}, badSweepBodies...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		got, ok := ReadSweepRequest(rec, httptest.NewRequest(http.MethodPost, "/sweep", bytes.NewReader(body)))
+		var want SweepRequest
+		accept := json.Unmarshal(body, &want) == nil && len(want.Items) > 0
+		if ok != accept {
+			t.Fatalf("%q: accepted = %v, want %v", body, ok, accept)
+		}
+		if !ok {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%q: rejected with status %d, want 400", body, rec.Code)
+			}
+			return
+		}
+		if rec.Body.Len() != 0 {
+			t.Fatalf("%q: accepted body wrote a reply %q", body, rec.Body)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded %+v, json.Unmarshal decodes %+v", body, got, want)
+		}
+	})
 }
 
 // FuzzParseQuery feeds arbitrary query strings to ParseQuery, which the

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -259,23 +260,20 @@ type Service struct {
 	ansMu   sync.RWMutex
 	answers map[encodedKey][]byte
 
-	// reg is the service's metrics registry; each counter registers under
-	// the exact /stats JSON key it reports as, so the registry doubles as
-	// the explicit inventory of the wire format.
-	reg                            *metrics.Registry
-	hits, misses, collapsed, tunes *metrics.Counter
-	encodedHits                    *metrics.Counter
-	snapshotRestored               *metrics.Counter
-	snapshotRejects                *metrics.Counter
-	sweptAnalytic, sweptDES        *metrics.Counter
-	cancelledQueries               *metrics.Counter
-	cancelledSweep                 *metrics.Counter
-	deadlineExceeded               *metrics.Counter
+	// The counters behind Stats, one per /stats key.
+	hits, misses, collapsed, tunes atomic.Uint64
+	encodedHits                    atomic.Uint64
+	snapshotRestored               atomic.Uint64
+	snapshotRejects                atomic.Uint64
+	sweptAnalytic, sweptDES        atomic.Uint64
+	cancelledQueries               atomic.Uint64
+	cancelledSweep                 atomic.Uint64
+	deadlineExceeded               atomic.Uint64
 	// latency is the all-queries histogram behind Stats.Latency; tenants
 	// holds each tenant's counters, created once on the tenant's first
 	// labeled request and read lock-free-ish (RLock + atomic adds) after,
 	// so recording stays allocation-free on the warm fast path.
-	latency   *metrics.Histogram
+	latency   metrics.Histogram
 	tenantsMu sync.RWMutex
 	tenants   map[string]*tenantMetrics
 
@@ -305,28 +303,12 @@ func New(cfg Config) (*Service, error) {
 	for p, curve := range cfg.Curves {
 		eng.SeedCurve(cfg.Plat, cfg.NGPUs, p, curve)
 	}
-	reg := metrics.NewRegistry()
 	return &Service{
 		cfg:     cfg,
 		eng:     eng,
 		tuners:  make(map[hw.Primitive]*tuner.Tuner),
 		answers: make(map[encodedKey][]byte),
-
-		reg:              reg,
-		hits:             reg.Counter("hits"),
-		misses:           reg.Counter("misses"),
-		collapsed:        reg.Counter("collapsed"),
-		tunes:            reg.Counter("tunes"),
-		encodedHits:      reg.Counter("hits_encoded"),
-		snapshotRestored: reg.Counter("snapshot_restored"),
-		snapshotRejects:  reg.Counter("snapshot_rejects"),
-		sweptAnalytic:    reg.Counter("swept_items_analytic"),
-		sweptDES:         reg.Counter("swept_items_des"),
-		cancelledQueries: reg.Counter("cancelled_queries"),
-		cancelledSweep:   reg.Counter("cancelled_sweep_items"),
-		deadlineExceeded: reg.Counter("deadline_exceeded"),
-		latency:          reg.Histogram("latency"),
-		tenants:          make(map[string]*tenantMetrics),
+		tenants: make(map[string]*tenantMetrics),
 	}, nil
 }
 
@@ -395,10 +377,6 @@ func (s *Service) encodedLen() int {
 	defer s.ansMu.RUnlock()
 	return len(s.answers)
 }
-
-// Engine exposes the service's execution engine (examples run measured
-// executions of the answers they receive).
-func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // supportedPrim mirrors core's primitive support: the service only answers
 // for primitives the execution engine can run.

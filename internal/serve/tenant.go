@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -39,10 +40,8 @@ func ValidateTenant(t string) error {
 // RLock plus atomic adds — no allocation, which keeps the pre-encoded warm
 // /query path's zero-alloc contract intact.
 type tenantMetrics struct {
-	queries *metrics.Counter
-	hits    *metrics.Counter
-	swept   *metrics.Counter
-	latency *metrics.Histogram
+	queries, hits, swept atomic.Uint64
+	latency              metrics.Histogram
 }
 
 // tenantFor returns the tenant's instruments, creating them on first use.
@@ -59,12 +58,7 @@ func (s *Service) tenantFor(tenant string) *tenantMetrics {
 	if tm = s.tenants[tenant]; tm != nil {
 		return tm
 	}
-	tm = &tenantMetrics{
-		queries: s.reg.Counter("tenant/" + tenant + "/queries"),
-		hits:    s.reg.Counter("tenant/" + tenant + "/hits"),
-		swept:   s.reg.Counter("tenant/" + tenant + "/swept_items"),
-		latency: s.reg.Histogram("tenant/" + tenant + "/latency"),
-	}
+	tm = &tenantMetrics{}
 	s.tenants[tenant] = tm
 	return tm
 }

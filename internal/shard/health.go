@@ -123,14 +123,6 @@ func (h *Health) SetEvictAfter(windows int) {
 	h.mu.Unlock()
 }
 
-// EvictAfter returns the eviction window in cooldown counts (<= 0 when
-// eviction is disabled).
-func (h *Health) EvictAfter() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.evictAfter
-}
-
 // Evicted reports whether replica i has been dead long enough (evictAfter
 // whole cooldown windows, uninterrupted by any recovery) to surrender its
 // ring ownership. The flag latches on the first observation past the

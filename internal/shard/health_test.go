@@ -666,6 +666,13 @@ func TestCoordinatorSalvagesPartialChunk(t *testing.T) {
 	if co.Redispatches() != 1 {
 		t.Fatalf("redispatches = %d, want 1 (one chunk left its owner)", co.Redispatches())
 	}
+	// Each replica is credited with the items it answered: the owner's
+	// salvaged prefix and the failover suffix.
+	for k, rs := range r.Stats(context.Background()).PerShard {
+		if rs.RoutedSweepItems != 2 {
+			t.Fatalf("replica %d credited with %d sweep items, want 2", k, rs.RoutedSweepItems)
+		}
+	}
 	if len(suffixCalls) != 1 || suffixCalls[0][0] != 2 {
 		t.Fatalf("failover replica saw calls %v, want exactly one 2-item suffix", suffixCalls)
 	}
@@ -732,6 +739,11 @@ func TestExhaustedBudgetNamesUnansweredItemAfterSalvage(t *testing.T) {
 	}
 	if co.PartialSalvages() != 0 {
 		t.Fatalf("failed sweep reported %d salvaged items; salvage was discarded", co.PartialSalvages())
+	}
+	for k, rs := range r.Stats(context.Background()).PerShard {
+		if rs.RoutedSweepItems != 0 {
+			t.Fatalf("replica %d credited with %d sweep items of a discarded salvage", k, rs.RoutedSweepItems)
+		}
 	}
 	// Structured ChunkErrors are live replicas answering quickly: a
 	// poison item that 5xxes identically everywhere must not bench the

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/gemm"
-	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
@@ -417,13 +416,11 @@ type Router struct {
 	clients []Client
 	health  *Health
 
-	// reg names the router's own counters (the replica-side counters live
-	// in each replica's serve registry); per-replica counters register as
-	// replica/<i>/<name>, mirroring the per_shard JSON breakdown.
-	reg              *metrics.Registry
-	routedQueries    []*metrics.Counter // per-replica answered /query requests
-	routedSweepItems []*metrics.Counter // per-replica answered sweep items
-	failovers        *metrics.Counter
+	// The router's own counters, behind RouterStats; the replica-side
+	// counters live in each replica's serve.Service.
+	routedQueries    []atomic.Uint64 // per-replica answered /query requests
+	routedSweepItems []atomic.Uint64 // per-replica answered sweep items
+	failovers        atomic.Uint64
 
 	proberMu   sync.Mutex // guards the shared prober's refcount lifecycle
 	proberRefs int
@@ -437,21 +434,13 @@ func NewRouter(clients []Client) (*Router, error) {
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one replica")
 	}
-	reg := metrics.NewRegistry()
-	r := &Router{
+	return &Router{
 		part:             NewPartitioner(len(clients)),
 		clients:          clients,
 		health:           NewHealth(len(clients)),
-		reg:              reg,
-		routedQueries:    make([]*metrics.Counter, len(clients)),
-		routedSweepItems: make([]*metrics.Counter, len(clients)),
-		failovers:        reg.Counter("failovers"),
-	}
-	for i := range clients {
-		r.routedQueries[i] = reg.Counter(fmt.Sprintf("replica/%d/routed_queries", i))
-		r.routedSweepItems[i] = reg.Counter(fmt.Sprintf("replica/%d/routed_sweep_items", i))
-	}
-	return r, nil
+		routedQueries:    make([]atomic.Uint64, len(clients)),
+		routedSweepItems: make([]atomic.Uint64, len(clients)),
+	}, nil
 }
 
 // Partitioner exposes the ownership mapping the router fans out with.
@@ -826,18 +815,8 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		})
 	})
 	mux.HandleFunc("/sweep", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			serve.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("shard: /sweep takes POST, got %s", req.Method))
-			return
-		}
-		var sr serve.SweepRequest
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("shard: decoding sweep request: %w", err))
-			return
-		}
-		if len(sr.Items) == 0 {
-			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("shard: sweep request has no items"))
+		sr, ok := serve.ReadSweepRequest(w, req)
+		if !ok {
 			return
 		}
 		// Honor the caller's forwarded spec: a sweep driver pointed at

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -356,5 +357,47 @@ func TestRouterFailsOverOnInternalServerError(t *testing.T) {
 	if results[0].Replica != 1-owner || co.Redispatches() != 1 {
 		t.Fatalf("chunk answered by %d with %d re-dispatches, want replica %d after 1 re-dispatch",
 			results[0].Replica, co.Redispatches(), 1-owner)
+	}
+}
+
+// The router's /sweep rejects the bodies of serve's TestHandlerSweepErrors
+// table with a replica's reply, byte for byte, and runs none of them: both
+// handlers read the request through serve.ReadSweepRequest.
+func TestRouterSweepRejectsWhatAReplicaRejects(t *testing.T) {
+	svc, err := serve.New(serve.Config{Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64, Curves: sharedCurves(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRouter([]Client{&LocalClient{Svc: svc}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := []http.Handler{serve.Handler(svc), r.Handler()}
+	item := `{"m": 2048, "n": 8192, "k": 4096, "prim": "AR"}`
+	for _, tc := range []struct {
+		method, body string
+		status       int
+	}{
+		{http.MethodGet, "", http.StatusMethodNotAllowed},
+		{http.MethodPost, "{not json", http.StatusBadRequest},
+		{http.MethodPost, `{"items": []}`, http.StatusBadRequest},
+		{http.MethodPost, `{"items": [` + item + `]}garbage`, http.StatusBadRequest},
+		{http.MethodPost, `{"items": [` + item + `]}{"items": [` + item + `]}`, http.StatusBadRequest},
+	} {
+		var replies [2]string
+		for i, h := range handlers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(tc.method, "/sweep", strings.NewReader(tc.body)))
+			if rec.Code != tc.status {
+				t.Fatalf("%s %q: handler %d replied %d, want %d", tc.method, tc.body, i, rec.Code, tc.status)
+			}
+			replies[i] = rec.Body.String()
+		}
+		if replies[0] != replies[1] {
+			t.Fatalf("%s %q: router replied %q, replica %q", tc.method, tc.body, replies[1], replies[0])
+		}
+	}
+	if st := svc.Stats(); st.SweptItemsDES != 0 {
+		t.Fatalf("rejected requests executed %d items", st.SweptItemsDES)
 	}
 }

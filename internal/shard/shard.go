@@ -184,18 +184,6 @@ func (p Partitioner) OwnerAmong(s gemm.Shape, alive func(int) bool) int {
 // Owns reports whether shard idx owns the shape.
 func (p Partitioner) Owns(idx int, s gemm.Shape) bool { return p.Owner(s) == idx }
 
-// Split distributes indices 0..n-1 of a shape list into per-shard index
-// slices, preserving input order within each shard. The sweep driver uses the
-// index lists to scatter per-shard results back into the global order.
-func (p Partitioner) Split(shapes []gemm.Shape) [][]int {
-	out := make([][]int, p.Shards)
-	for i, s := range shapes {
-		k := p.Owner(s)
-		out[k] = append(out[k], i)
-	}
-	return out
-}
-
 // Assignment is one replica's slice of a sharded deployment: shard Index out
 // of Count, the value of a `-shard k/n` flag.
 type Assignment struct {

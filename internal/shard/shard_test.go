@@ -100,37 +100,6 @@ func TestNearbyShapesShareAShard(t *testing.T) {
 	}
 }
 
-func TestSplitPartitionsIndicesInOrder(t *testing.T) {
-	shapes := quickGridShapes()
-	p := NewPartitioner(3)
-	idxs := p.Split(shapes)
-	if len(idxs) != 3 {
-		t.Fatalf("got %d shards", len(idxs))
-	}
-	seen := make([]bool, len(shapes))
-	for k, list := range idxs {
-		prev := -1
-		for _, i := range list {
-			if i <= prev {
-				t.Fatalf("shard %d indices out of order: %v", k, list)
-			}
-			prev = i
-			if seen[i] {
-				t.Fatalf("index %d in multiple shards", i)
-			}
-			seen[i] = true
-			if p.Owner(shapes[i]) != k {
-				t.Fatalf("index %d in shard %d but owned by %d", i, k, p.Owner(shapes[i]))
-			}
-		}
-	}
-	for i, s := range seen {
-		if !s {
-			t.Fatalf("index %d assigned to no shard", i)
-		}
-	}
-}
-
 func TestParseAssignment(t *testing.T) {
 	good := map[string]Assignment{
 		"":    {},
