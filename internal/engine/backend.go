@@ -57,9 +57,10 @@ func (cc *curveCache) seed(k curveKey, c *stats.Curve) {
 	cc.curves[k] = c
 }
 
-// curve returns the engine's bandwidth curve for the triple, sampling
-// lazily on first use.
-func (e *Engine) curve(plat hw.Platform, nGPUs int, prim hw.Primitive) *stats.Curve {
+// Curve returns the engine's bandwidth curve for the triple, sampling
+// lazily on first use. The serving layer's tuners score against it too, so
+// each (platform, group size, primitive) is sampled once per engine.
+func (e *Engine) Curve(plat hw.Platform, nGPUs int, prim hw.Primitive) *stats.Curve {
 	return e.curves.get(curveKey{plat: plat, nGPUs: nGPUs, prim: prim})
 }
 

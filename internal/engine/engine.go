@@ -201,7 +201,7 @@ func (e *Engine) ExecPlan(ctx context.Context, p *Plan, v core.Variant) (*core.R
 		return p.c.Exec(ctx, v)
 	case core.FidelityAnalytic:
 		o := p.c.Options()
-		return p.c.ExecAnalytic(v, e.curve(o.Plat, o.NGPUs, o.Prim))
+		return p.c.ExecAnalytic(v, e.Curve(o.Plat, o.NGPUs, o.Prim))
 	}
 	return nil, fmt.Errorf("engine: unknown fidelity %q", v.Fidelity)
 }

@@ -243,22 +243,16 @@ type Service struct {
 	cfg Config
 	eng *engine.Engine
 
-	mu     sync.RWMutex
-	tuners map[hw.Primitive]*tuner.Tuner
+	// tuners holds each supported primitive's tuner, indexed by
+	// hw.Primitive and installed on first use. Every entry of a tuner's
+	// shape cache carries its pre-encoded JSON /query reply: the §4.2.2
+	// answer for a tuned key is immutable until re-tune, so the bytes are
+	// encoded once, as the entry is stored, and a warm hit writes them
+	// straight to the wire with no predictor, no clone, and no JSON encoder
+	// on the path. An eviction or re-tune drops them with the entry.
+	tuners [hw.AllToAll + 1]atomic.Pointer[tuner.Tuner]
 
-	tunerFlight flightGroup // collapses concurrent offline stages per primitive
-	tuneFlight  flightGroup // collapses concurrent misses per (prim, shape, imbalance)
-
-	// answers holds the pre-encoded JSON /query reply for every tuned
-	// (prim, shape, imbalance) key: the §4.2.2 answer for a warm key is
-	// immutable until re-tune, so the bytes are encoded once — at tune,
-	// warm, or snapshot-restore time — and a warm hit writes them straight
-	// to the wire with no predictor, no clone, and no JSON encoder on the
-	// path. Entries invalidate in lockstep with the tuner caches through
-	// their OnEvict hooks, so the map is bounded by the shape caches'
-	// capacity.
-	ansMu   sync.RWMutex
-	answers map[encodedKey][]byte
+	tuneFlight flightGroup // collapses concurrent misses per (prim, shape, imbalance)
 
 	// The counters behind Stats, one per /stats key.
 	hits, misses, collapsed, tunes atomic.Uint64
@@ -284,8 +278,8 @@ type Service struct {
 }
 
 // New builds a service. It is cheap: the per-primitive offline stage
-// (bandwidth sampling) runs lazily on the first query or Warm for that
-// primitive.
+// (bandwidth sampling, sub-millisecond) runs lazily on the first query or
+// Warm for that primitive.
 func New(cfg Config) (*Service, error) {
 	if err := cfg.Plat.Validate(); err != nil {
 		return nil, err
@@ -306,28 +300,8 @@ func New(cfg Config) (*Service, error) {
 	return &Service{
 		cfg:     cfg,
 		eng:     eng,
-		tuners:  make(map[hw.Primitive]*tuner.Tuner),
-		answers: make(map[encodedKey][]byte),
 		tenants: make(map[string]*tenantMetrics),
 	}, nil
-}
-
-// encodedKey identifies one pre-encoded warm answer. Imbalance is stored
-// normalized (0 and anything below 1 mean balanced and key as 1, matching
-// the tuner cache), so /query?imbalance absent and imbalance=1 share one
-// entry.
-type encodedKey struct {
-	prim  hw.Primitive
-	shape gemm.Shape
-	imb   float64
-}
-
-func keyFor(q Query) encodedKey {
-	imb := q.Imbalance
-	if imb < 1 {
-		imb = 1
-	}
-	return encodedKey{prim: q.Prim, shape: q.Shape, imb: imb}
 }
 
 // QueryEncoded answers a warm query from the pre-encoded reply bytes: the
@@ -337,45 +311,20 @@ func keyFor(q Query) encodedKey {
 // complete JSON body a cold-path reply would encode, byte for byte; callers
 // must treat them as immutable.
 func (s *Service) QueryEncoded(q Query) ([]byte, bool) {
-	k := keyFor(q)
-	s.ansMu.RLock()
-	buf, ok := s.answers[k]
-	s.ansMu.RUnlock()
+	if !supportedPrim(q.Prim) {
+		return nil, false
+	}
+	tn := s.tuners[q.Prim].Load()
+	if tn == nil {
+		return nil, false
+	}
+	buf, ok := tn.Encoded(q.Shape, q.Imbalance)
 	if !ok {
 		return nil, false
 	}
 	s.hits.Add(1)
 	s.encodedHits.Add(1)
 	return buf, true
-}
-
-// storeEncoded pre-encodes the warm reply for q. The stored Source is
-// always SourceCache: the bytes answer *future* queries, which by
-// definition hit the cache, so the fast path stays byte-identical to a
-// slow-path cache hit.
-func (s *Service) storeEncoded(q Query, ans Answer) {
-	buf, err := encodeAnswer(q, ans)
-	if err != nil {
-		return // unencodable answers just skip the fast path
-	}
-	s.ansMu.Lock()
-	s.answers[keyFor(q)] = buf
-	s.ansMu.Unlock()
-}
-
-// dropEncoded invalidates one pre-encoded answer; wired into each tuner's
-// OnEvict so encodings die with the tuned entries behind them. The tuner
-// reports the normalized imbalance, which is exactly how keyFor keys.
-func (s *Service) dropEncoded(prim hw.Primitive, shape gemm.Shape, imbalance float64) {
-	s.ansMu.Lock()
-	delete(s.answers, encodedKey{prim: prim, shape: shape, imb: imbalance})
-	s.ansMu.Unlock()
-}
-
-func (s *Service) encodedLen() int {
-	s.ansMu.RLock()
-	defer s.ansMu.RUnlock()
-	return len(s.answers)
 }
 
 // supportedPrim mirrors core's primitive support: the service only answers
@@ -388,51 +337,42 @@ func supportedPrim(p hw.Primitive) bool {
 	return false
 }
 
-// tunerFor returns the primitive's tuner, running the offline stage at most
-// once per primitive no matter how many queries race on a cold service.
-// A cancelled ctx abandons only this caller's wait; the offline stage
-// itself runs detached (see flightGroup.do) so the tuner still lands for
-// the next query.
-func (s *Service) tunerFor(ctx context.Context, p hw.Primitive) (*tuner.Tuner, error) {
-	s.mu.RLock()
-	tn := s.tuners[p]
-	s.mu.RUnlock()
-	if tn != nil {
-		return tn, nil
-	}
+// tunerFor returns the primitive's tuner, installing one on first use. Its
+// curve comes from the engine's curve cache, which samples each primitive
+// once; racing first queries may each build a tuner around it, and only the
+// first installed is kept.
+func (s *Service) tunerFor(p hw.Primitive) (*tuner.Tuner, error) {
 	if !supportedPrim(p) {
 		return nil, badQueryf("serve: unsupported primitive %v", p)
 	}
-	v, err, _ := s.tunerFlight.do(ctx, p.String(), func(context.Context) (any, error) {
-		s.mu.RLock()
-		tn := s.tuners[p]
-		s.mu.RUnlock()
-		if tn != nil {
-			return tn, nil
-		}
-		if curve := s.cfg.Curves[p]; curve != nil {
-			tn = tuner.NewTunerWithCurve(s.cfg.Plat, s.cfg.NGPUs, p, curve)
-		} else {
-			tn = tuner.NewTuner(s.cfg.Plat, s.cfg.NGPUs, p)
-		}
-		tn.CandidateLimit = s.cfg.CandidateLimit
-		tn.CacheCapacity = s.cfg.ShapeCacheSize
-		tn.Workers = s.eng.Workers() // one Config.Workers knob bounds all CPU use
-		// Pre-encoded answers must die with the tuned entries behind them:
-		// a re-tune or LRU eviction in the shape cache invalidates the
-		// encoding before the replacement answer is stored.
-		tn.OnEvict = func(shape gemm.Shape, imbalance float64) {
-			s.dropEncoded(p, shape, imbalance)
-		}
-		s.mu.Lock()
-		s.tuners[p] = tn
-		s.mu.Unlock()
+	if tn := s.tuners[p].Load(); tn != nil {
 		return tn, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return v.(*tuner.Tuner), nil
+	s.tuners[p].CompareAndSwap(nil, s.newTuner(p, s.eng.Curve(s.cfg.Plat, s.cfg.NGPUs, p)))
+	return s.tuners[p].Load(), nil
+}
+
+// newTuner builds the primitive's tuner around a bandwidth curve. Its Encode
+// hook renders each entry's /query reply as a cache hit on the entry sends
+// it, Source SourceCache included, so the fast path stays byte-identical to
+// a slow-path cache hit.
+func (s *Service) newTuner(p hw.Primitive, curve *stats.Curve) *tuner.Tuner {
+	tn := tuner.NewTunerWithCurve(s.cfg.Plat, s.cfg.NGPUs, p, curve)
+	tn.CandidateLimit = s.cfg.CandidateLimit
+	tn.CacheCapacity = s.cfg.ShapeCacheSize
+	tn.Workers = s.eng.Workers() // one Config.Workers knob bounds all CPU use
+	tn.Encode = func(e tuner.CacheEntry) []byte {
+		// An entry that cannot be rendered stores no bytes and is answered
+		// on the slow path.
+		q := Query{Shape: e.Shape, Prim: p, Imbalance: e.Imbalance}
+		ans, err := s.answer(tn, q, e.Partition, SourceCache)
+		if err != nil {
+			return nil
+		}
+		buf, _ := encodeAnswer(q, ans) // nil on error
+		return buf
+	}
+	return tn
 }
 
 func flightKey(q Query) string {
@@ -489,7 +429,7 @@ func (s *Service) Query(ctx context.Context, q Query) (ans Answer, err error) {
 	if err := validateQuery(q); err != nil {
 		return Answer{}, err
 	}
-	tn, err := s.tunerFor(ctx, q.Prim)
+	tn, err := s.tunerFor(q.Prim)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -518,15 +458,7 @@ func (s *Service) Query(ctx context.Context, q Query) (ans Answer, err error) {
 	}
 	// Every collapsed waiter receives the same underlying slice; clone so
 	// answers never alias each other (the cache-hit path clones too).
-	ans, err = s.answer(tn, q, v.(gemm.Partition).Clone(), SourceTuned)
-	if err == nil {
-		// Pre-encode the immutable warm reply now, while the freshly
-		// tuned answer is in hand: the next query for this exact key is
-		// served from these bytes with no predictor or encoder on the
-		// path. Collapsed waiters store identical bytes; last write wins.
-		s.storeEncoded(q, ans)
-	}
-	return ans, err
+	return s.answer(tn, q, v.(gemm.Partition).Clone(), SourceTuned)
 }
 
 // answer attaches the Alg. 1 prediction to a partition. The predictor is
@@ -565,7 +497,7 @@ func (s *Service) Warm(ctx context.Context, prims []hw.Primitive, shapes []gemm.
 		return nil
 	}
 	for _, p := range prims {
-		tn, err := s.tunerFor(ctx, p)
+		tn, err := s.tunerFor(p)
 		if err != nil {
 			return err
 		}
@@ -587,14 +519,6 @@ func (s *Service) Warm(ctx context.Context, prims []hw.Primitive, shapes []gemm.
 		}
 		if _, err := s.eng.Batch(ctx, runs); err != nil {
 			return fmt.Errorf("serve: warming %v: %w", p, err)
-		}
-		// Pre-encode every warmed answer so the first real query for a
-		// warmed shape already takes the zero-alloc fast path.
-		for i, shape := range shapes {
-			q := Query{Shape: shape, Prim: p, Imbalance: imbalance}
-			if ans, err := s.answer(tn, q, parts[i], SourceCache); err == nil {
-				s.storeEncoded(q, ans)
-			}
 		}
 	}
 	return nil
@@ -623,7 +547,6 @@ func (s *Service) Stats() Stats {
 		Collapsed:           s.collapsed.Load(),
 		Tunes:               s.tunes.Load(),
 		EncodedHits:         s.encodedHits.Load(),
-		WarmEncoded:         s.encodedLen(),
 		SnapshotRestored:    s.snapshotRestored.Load(),
 		SnapshotRejects:     s.snapshotRejects.Load(),
 		SweptItemsAnalytic:  s.sweptAnalytic.Load(),
@@ -638,12 +561,13 @@ func (s *Service) Stats() Stats {
 		st.Latency = &snap
 	}
 	st.Tenants = s.tenantSnapshots()
-	s.mu.RLock()
-	for p, tn := range s.tuners {
-		st.ShapesCached += tn.CacheSize()
-		st.Primitives = append(st.Primitives, p.String())
+	for p := range s.tuners {
+		if tn := s.tuners[p].Load(); tn != nil {
+			st.ShapesCached += tn.CacheSize()
+			st.WarmEncoded += tn.EncodedSize()
+			st.Primitives = append(st.Primitives, hw.Primitive(p).String())
+		}
 	}
-	s.mu.RUnlock()
 	sort.Strings(st.Primitives)
 	return st
 }

@@ -110,7 +110,7 @@ func TestSingleflightCollapsesDuplicateMisses(t *testing.T) {
 	s := testService(t)
 	q := Query{Shape: gemm.Shape{M: 2048, N: 8192, K: 8192}, Prim: hw.AllReduce}
 	// Pre-build the tuner so the queries below race only on the tune.
-	if _, err := s.tunerFor(context.Background(), q.Prim); err != nil {
+	if _, err := s.tunerFor(q.Prim); err != nil {
 		t.Fatal(err)
 	}
 

@@ -83,14 +83,12 @@ func (s *Service) Snapshot() *Snapshot {
 		NGPUs:          s.cfg.NGPUs,
 		CandidateLimit: s.cfg.CandidateLimit,
 	}
-	s.mu.RLock()
-	tuners := make(map[hw.Primitive]*tuner.Tuner, len(s.tuners))
-	for p, tn := range s.tuners {
-		tuners[p] = tn
-	}
-	s.mu.RUnlock()
-	for p, tn := range tuners {
-		block := SnapshotPrim{Prim: p.String(), Curve: tn.Curve.Points()}
+	for p := range s.tuners {
+		tn := s.tuners[p].Load()
+		if tn == nil {
+			continue
+		}
+		block := SnapshotPrim{Prim: hw.Primitive(p).String(), Curve: tn.Curve.Points()}
 		for _, e := range tn.CacheSnapshot() {
 			block.Entries = append(block.Entries, SnapshotEntry{
 				M:         e.Shape.M,
@@ -108,10 +106,10 @@ func (s *Service) Snapshot() *Snapshot {
 
 // RestoreSnapshot re-admits a snapshot's warm state into the service:
 // per-primitive tuners are rebuilt around the snapshotted curves, the tuned
-// entries are replayed in LRU order, the engine's analytic backend is seeded
-// with the same curves, and every entry's /query reply is pre-encoded — so
-// the restored replica answers warm, on the fast path, byte-identically to
-// the service that wrote the snapshot.
+// entries are replayed in LRU order, each pre-encoding its /query reply as
+// it lands, and the engine's analytic backend is seeded with the same
+// curves — so the restored replica answers warm, on the fast path,
+// byte-identically to the service that wrote the snapshot.
 //
 // Validation is all-or-nothing: a version, platform, GPU-count, or
 // search-budget mismatch — or any entry that fails the wave-count transfer
@@ -140,8 +138,7 @@ func (s *Service) RestoreSnapshot(snap *Snapshot) (restored int, err error) {
 	type prepared struct {
 		prim    hw.Primitive
 		tn      *tuner.Tuner
-		curve   *stats.Curve
-		entries []tuner.CacheEntry
+		entries int
 	}
 	preps := make([]prepared, 0, len(snap.Primitives))
 	seen := make(map[hw.Primitive]bool, len(snap.Primitives))
@@ -160,14 +157,7 @@ func (s *Service) RestoreSnapshot(snap *Snapshot) (restored int, err error) {
 		if c := s.cfg.Curves[p]; c != nil && !curveEqual(c.Points(), block.Curve) {
 			return 0, fmt.Errorf("serve: snapshot primitive %v curve differs from the configured fleet curve", p)
 		}
-		curve := stats.NewCurve(block.Curve)
-		tn := tuner.NewTunerWithCurve(s.cfg.Plat, s.cfg.NGPUs, p, curve)
-		tn.CandidateLimit = s.cfg.CandidateLimit
-		tn.CacheCapacity = s.cfg.ShapeCacheSize
-		tn.Workers = s.eng.Workers()
-		tn.OnEvict = func(shape gemm.Shape, imbalance float64) {
-			s.dropEncoded(p, shape, imbalance)
-		}
+		tn := s.newTuner(p, stats.NewCurve(block.Curve))
 		entries := make([]tuner.CacheEntry, len(block.Entries))
 		for i, e := range block.Entries {
 			entries[i] = tuner.CacheEntry{
@@ -179,24 +169,14 @@ func (s *Service) RestoreSnapshot(snap *Snapshot) (restored int, err error) {
 		if err := tn.SeedCache(entries); err != nil {
 			return 0, fmt.Errorf("serve: snapshot: %w", err)
 		}
-		preps = append(preps, prepared{prim: p, tn: tn, curve: curve, entries: entries})
+		preps = append(preps, prepared{prim: p, tn: tn, entries: len(entries)})
 	}
 
-	// Commit: install tuners, seed the engine's analytic curves, and
-	// pre-encode every restored answer so the first query after a restart
-	// already takes the zero-alloc fast path.
+	// Commit: seed the engine's analytic curves and install the tuners.
 	for _, pr := range preps {
-		s.mu.Lock()
-		s.tuners[pr.prim] = pr.tn
-		s.mu.Unlock()
-		s.eng.SeedCurve(s.cfg.Plat, s.cfg.NGPUs, pr.prim, pr.curve)
-		for _, e := range pr.entries {
-			q := Query{Shape: e.Shape, Prim: pr.prim, Imbalance: e.Imbalance}
-			if ans, err := s.answer(pr.tn, q, e.Partition, SourceCache); err == nil {
-				s.storeEncoded(q, ans)
-			}
-			restored++
-		}
+		s.eng.SeedCurve(s.cfg.Plat, s.cfg.NGPUs, pr.prim, pr.tn.Curve)
+		s.tuners[pr.prim].Store(pr.tn)
+		restored += pr.entries
 	}
 	s.snapshotRestored.Add(uint64(restored))
 	return restored, nil

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -30,12 +31,23 @@ func getBody(t *testing.T, url string) []byte {
 	return body
 }
 
-// dropAllEncoded empties the pre-encoded answer map so the next request is
-// forced through the slow (encode-per-request) path.
-func dropAllEncoded(s *Service) {
-	s.ansMu.Lock()
-	s.answers = make(map[encodedKey][]byte)
-	s.ansMu.Unlock()
+// dropAllEncoded swaps each tuner for one holding the same entries, in the
+// same LRU order, without reply bytes, so the next request is forced through
+// the slow (encode-per-request) path.
+func dropAllEncoded(t *testing.T, s *Service) {
+	t.Helper()
+	for p := range s.tuners {
+		tn := s.tuners[p].Load()
+		if tn == nil {
+			continue
+		}
+		bare := s.newTuner(tn.Prim, tn.Curve)
+		bare.Encode = nil
+		if err := bare.SeedCache(tn.CacheSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		s.tuners[p].Store(bare)
+	}
 }
 
 // The pre-encoded fast path must emit the same bytes the slow path renders.
@@ -53,7 +65,7 @@ func TestQueryFastPathBytesMatchSlowPath(t *testing.T) {
 	if got := s.Stats().EncodedHits; got != 1 {
 		t.Fatalf("hits_encoded = %d after a warmed query, want 1", got)
 	}
-	dropAllEncoded(s)
+	dropAllEncoded(t, s)
 	slow := getBody(t, url)
 	if got := s.Stats().EncodedHits; got != 1 {
 		t.Fatalf("hits_encoded = %d, the second query must not take the fast path", got)
@@ -77,7 +89,7 @@ func TestTunedQueryPreEncodesNextHit(t *testing.T) {
 	if got := s.Stats().EncodedHits; got != 1 {
 		t.Fatalf("hits_encoded = %d after tune+hit, want 1", got)
 	}
-	dropAllEncoded(s)
+	dropAllEncoded(t, s)
 	third := getBody(t, url) // slow-path cache hit
 	if string(second) != string(third) {
 		t.Fatalf("fast path bytes differ from slow-path cache hit:\nfast: %s\nslow: %s", second, third)
@@ -87,24 +99,33 @@ func TestTunedQueryPreEncodesNextHit(t *testing.T) {
 	}
 }
 
-// Re-tuning a shape must invalidate its pre-encoded reply, not serve stale
-// bytes.
+// Re-tuning a shape must replace its pre-encoded reply, not serve stale
+// bytes: the new shape-cache entry carries a fresh rendering.
 func TestRetuneDropsStaleEncoding(t *testing.T) {
 	s := testService(t)
 	shape := gemm.Shape{M: 2048, N: 8192, K: 4096}
-	if err := s.Warm(context.Background(), []hw.Primitive{hw.AllReduce}, []gemm.Shape{shape}, 0); err != nil {
-		t.Fatal(err)
+	warm := func() []byte {
+		t.Helper()
+		if err := s.Warm(context.Background(), []hw.Primitive{hw.AllReduce}, []gemm.Shape{shape}, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Stats().WarmEncoded; n != 1 {
+			t.Fatalf("warm_encoded = %d, want 1", n)
+		}
+		buf, ok := s.tuners[hw.AllReduce].Load().Encoded(shape, 0)
+		if !ok {
+			t.Fatal("the warmed entry holds no reply bytes")
+		}
+		return buf
 	}
-	if n := s.encodedLen(); n != 1 {
-		t.Fatalf("warm_encoded = %d, want 1", n)
+	before := warm()
+	// Warm again: the tuner replaces the entry, and its bytes with it.
+	after := warm()
+	if &after[0] == &before[0] {
+		t.Fatal("re-tune kept the replaced entry's reply bytes")
 	}
-	// Warm again: the tuner replaces the entry, OnEvict fires, and the
-	// encoding is re-stored afterwards — never left stale in between.
-	if err := s.Warm(context.Background(), []hw.Primitive{hw.AllReduce}, []gemm.Shape{shape}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.encodedLen(); n != 1 {
-		t.Fatalf("warm_encoded = %d after re-warm, want 1", n)
+	if string(after) != string(before) {
+		t.Fatalf("re-tune rendered different bytes for a deterministic tune:\nbefore: %s\nafter:  %s", before, after)
 	}
 }
 
@@ -122,8 +143,78 @@ func TestWarmQueryEncodedAllocs(t *testing.T) {
 			t.Fatal("warmed query missed the encoded fast path")
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("warm encoded query allocates %.1f times, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm encoded query allocates %.1f times, want 0", allocs)
+	}
+}
+
+// The pre-encoded replies live in the shape cache's entries, so they cannot
+// outlive them: after a Warm or a RestoreSnapshot of more shapes than the
+// cache holds, exactly the entries it kept answer on the fast path, and a
+// replica restored from the warmed service's snapshot answers every warmed
+// shape with that service's bytes.
+func TestEncodedRepliesFollowTheShapeCache(t *testing.T) {
+	shapes := []gemm.Shape{
+		{M: 2048, N: 8192, K: 4096},
+		{M: 4096, N: 8192, K: 4096},
+		{M: 4096, N: 8192, K: 8192},
+		{M: 8192, N: 8192, K: 4096},
+	}
+	ar := []hw.Primitive{hw.AllReduce}
+	small := func() *Service {
+		t.Helper()
+		s, err := New(Config{Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64, ShapeCacheSize: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// check holds a two-entry cache that saw all four shapes.
+	check := func(name string, s *Service) {
+		t.Helper()
+		if st := s.Stats(); st.ShapesCached != 2 || st.WarmEncoded != st.ShapesCached {
+			t.Errorf("%s: shapes_cached %d, warm_encoded %d; want 2 and 2", name, st.ShapesCached, st.WarmEncoded)
+		}
+		kept := make(map[gemm.Shape]bool)
+		for _, e := range s.Snapshot().Primitives[0].Entries {
+			kept[gemm.Shape{M: e.M, N: e.N, K: e.K}] = true
+		}
+		for _, shape := range shapes {
+			if _, hit := s.QueryEncoded(Query{Shape: shape, Prim: hw.AllReduce}); hit != kept[shape] {
+				t.Errorf("%s: %v is cached %v, but QueryEncoded hit %v", name, shape, kept[shape], hit)
+			}
+		}
+	}
+
+	warmed := small()
+	if err := warmed.Warm(context.Background(), ar, shapes, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("warm", warmed)
+
+	big := testService(t)
+	if err := big.Warm(context.Background(), ar, shapes, 0); err != nil {
+		t.Fatal(err)
+	}
+	restoredSmall := small()
+	if _, err := restoredSmall.RestoreSnapshot(big.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	check("restore", restoredSmall)
+
+	restored := small()
+	if _, err := restored.RestoreSnapshot(warmed.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	srvW := httptest.NewServer(Handler(warmed))
+	defer srvW.Close()
+	srvR := httptest.NewServer(Handler(restored))
+	defer srvR.Close()
+	for _, shape := range shapes {
+		u := fmt.Sprintf("/query?m=%d&n=%d&k=%d&prim=AR", shape.M, shape.N, shape.K)
+		if want, got := getBody(t, srvW.URL+u), getBody(t, srvR.URL+u); string(got) != string(want) {
+			t.Errorf("%s: restored replica replied\n%s\nits source replied\n%s", u, got, want)
+		}
 	}
 }
 

@@ -54,14 +54,13 @@ const ringVnodes = 64
 const vnodeSeed = 0x7F4A7C159E3779B9
 
 // Partitioner deterministically maps GEMM shapes to one of Shards owners.
-// The zero Quantum selects DefaultQuantum. Partitioners are values: two
-// partitioners with equal fields agree on every shape, which is what lets N
-// independent replica processes each compute their own slice without
-// coordination. (The backing ring is memoized per shard count in a
-// package-level cache, so the value semantics cost nothing per lookup.)
+// Partitioners are values: two partitioners with equal fields agree on every
+// shape, which is what lets N independent replica processes each compute
+// their own slice without coordination. (The backing ring is memoized per
+// shard count in a package-level cache, so the value semantics cost nothing
+// per lookup.)
 type Partitioner struct {
-	Shards  int
-	Quantum float64
+	Shards int
 }
 
 // NewPartitioner returns a partitioner over n shards.
@@ -69,18 +68,11 @@ func NewPartitioner(n int) Partitioner {
 	return Partitioner{Shards: n}
 }
 
-func (p Partitioner) quantum() float64 {
-	if p.Quantum <= 0 {
-		return DefaultQuantum
-	}
-	return p.Quantum
-}
-
 // Cell returns the ownership-lattice cell of a shape: its (log2 M·N, log2 K)
-// coordinates — the tuner cache's matching plane — quantized to Quantum-wide
-// cells.
+// coordinates — the tuner cache's matching plane — quantized to
+// DefaultQuantum-wide cells.
 func (p Partitioner) Cell(s gemm.Shape) (qx, qy int64) {
-	return s.LogCell(p.quantum())
+	return s.LogCell(DefaultQuantum)
 }
 
 // splitmix64 is the SplitMix64 finalizer: a full-avalanche 64-bit mixer, so

@@ -27,12 +27,6 @@ type shapeCache struct {
 	capacity int
 	order    *list.List // front = most recently used; values are *shapeEntry
 	byKey    map[shapeKey]*list.Element
-	// onEvict, when non-nil, observes every entry that stops being current:
-	// capacity evictions and put-replacements alike. It runs while the cache
-	// lock is held, so it must not call back into the cache; the serving
-	// layer uses it to drop derived state (pre-encoded answers) the moment
-	// the tuned entry behind it disappears.
-	onEvict func(shape gemm.Shape, imbalance float64)
 }
 
 // shapeKey identifies one tuned entry: the same shape tuned under different
@@ -48,6 +42,10 @@ type shapeEntry struct {
 	lmn, lk  float64 // precomputed log2(M*N), log2(K)
 	part     gemm.Partition
 	partWave int // part.TotalWaves(), precomputed for the transfer check
+	// encoded is the entry's Tuner.Encode rendering, or nil. Entries are
+	// immutable once stored, so the bytes leave with their entry: an
+	// eviction or a re-tune can never leave them stale.
+	encoded []byte
 }
 
 // normImbalance maps the "balanced" encodings (0, or anything below 1) to 1,
@@ -74,35 +72,36 @@ func logCoords(shape gemm.Shape) (lmn, lk float64) {
 	return math.Log2(float64(shape.M) * float64(shape.N)), math.Log2(float64(shape.K))
 }
 
-// put inserts or replaces the tuned partition for (shape, imbalance),
-// bumping it to the front and evicting from the back past capacity. The
-// partition is cloned so the cache never aliases caller-owned slices.
-func (c *shapeCache) put(shape gemm.Shape, imbalance float64, part gemm.Partition) {
-	k := shapeKey{shape: shape, imb: normImbalance(imbalance)}
-	e := &shapeEntry{key: k, part: part.Clone(), partWave: part.TotalWaves()}
-	e.lmn, e.lk = logCoords(shape)
+// put inserts or replaces the tuned partition under k with its encoded
+// bytes, bumping it to the front and evicting from the back past capacity.
+// The partition is cloned so the cache never aliases caller-owned slices.
+func (c *shapeCache) put(k shapeKey, part gemm.Partition, encoded []byte) {
+	e := &shapeEntry{key: k, part: part.Clone(), partWave: part.TotalWaves(), encoded: encoded}
+	e.lmn, e.lk = logCoords(k.shape)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[k]; ok {
 		el.Value = e
 		c.order.MoveToFront(el)
-		// A replacement invalidates whatever was derived from the old
-		// partition, even though the key survives.
-		if c.onEvict != nil {
-			c.onEvict(k.shape, k.imb)
-		}
 		return
 	}
 	c.byKey[k] = c.order.PushFront(e)
 	for c.order.Len() > c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		old := oldest.Value.(*shapeEntry).key
-		delete(c.byKey, old)
-		if c.onEvict != nil {
-			c.onEvict(old.shape, old.imb)
-		}
+		delete(c.byKey, oldest.Value.(*shapeEntry).key)
 	}
+}
+
+// encoded returns the bytes of the entry stored under exactly k, under the
+// read lock and without allocating.
+func (c *shapeCache) encoded(k shapeKey) []byte {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if el, ok := c.byKey[k]; ok {
+		return el.Value.(*shapeEntry).encoded
+	}
+	return nil
 }
 
 // snapshot returns the cached entries in least-recently-used-first order, so
@@ -168,4 +167,17 @@ func (c *shapeCache) len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.order.Len()
+}
+
+// encodedCount counts the entries that carry encoded bytes.
+func (c *shapeCache) encodedCount() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	n := 0
+	for el := c.order.Front(); el != nil; el = el.Next() {
+		if el.Value.(*shapeEntry).encoded != nil {
+			n++
+		}
+	}
+	return n
 }

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -91,17 +92,18 @@ func TestSeedCacheRejectsCorruptEntries(t *testing.T) {
 	}
 }
 
-// OnEvict must observe both capacity evictions and re-tune replacements.
-func TestOnEvictObservesEvictionAndReplacement(t *testing.T) {
+// An entry's Encode bytes live and die with the entry: a capacity eviction
+// takes them along, and a re-tune replaces them instead of leaving them
+// stale.
+func TestEncodedBytesLeaveWithTheirEntry(t *testing.T) {
 	tn := NewTuner(hw.RTX4090PCIe(), 2, hw.AllReduce)
 	tn.CandidateLimit = 64
 	tn.CacheCapacity = 2
-	type evt struct {
-		shape gemm.Shape
-		imb   float64
+	renders := 0
+	tn.Encode = func(e CacheEntry) []byte {
+		renders++
+		return []byte(fmt.Sprintf("%v@%g=%v #%d", e.Shape, e.Imbalance, e.Partition, renders))
 	}
-	var events []evt
-	tn.OnEvict = func(s gemm.Shape, imb float64) { events = append(events, evt{s, imb}) }
 	shapes := []gemm.Shape{
 		{M: 2048, N: 8192, K: 4096},
 		{M: 4096, N: 8192, K: 4096},
@@ -112,15 +114,26 @@ func TestOnEvictObservesEvictionAndReplacement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Capacity 2, three tunes: the first shape was evicted.
-	if len(events) != 1 || events[0] != (evt{shapes[0], 1}) {
-		t.Fatalf("eviction events %v, want exactly one for %v", events, shapes[0])
+	// Capacity 2, three tunes: the first shape was evicted, bytes and all.
+	if buf, ok := tn.Encoded(shapes[0], 0); ok {
+		t.Fatalf("evicted shape %v still holds bytes %q", shapes[0], buf)
 	}
-	// Re-tuning a cached shape replaces its entry and must notify too.
+	if n := tn.EncodedSize(); n != 2 {
+		t.Fatalf("%d entries hold bytes, want 2", n)
+	}
+	before, ok := tn.Encoded(shapes[2], 1) // imbalance 1 keys like 0
+	if !ok {
+		t.Fatalf("cached shape %v holds no bytes", shapes[2])
+	}
+	// Re-tuning a cached shape replaces its entry, and its bytes with it.
 	if _, err := tn.Tune(context.Background(), shapes[2], 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 2 || events[1] != (evt{shapes[2], 1}) {
-		t.Fatalf("replacement events %v, want a second one for %v", events, shapes[2])
+	after, ok := tn.Encoded(shapes[2], 0)
+	if !ok || string(after) == string(before) {
+		t.Fatalf("re-tuned shape %v holds %q, want a fresh rendering of %q", shapes[2], after, before)
+	}
+	if n := tn.EncodedSize(); n != 2 || renders != 4 {
+		t.Fatalf("%d entries hold bytes after %d renders, want 2 after 4", n, renders)
 	}
 }

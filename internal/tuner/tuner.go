@@ -79,11 +79,6 @@ func NewPredictor(plat hw.Platform, shape gemm.Shape, cfg gemm.Config, curve *st
 	}, nil
 }
 
-// groupBytes is the per-rank payload of a group spanning the bound.
-func (p *Predictor) groupBytes(b gemm.GroupBound) float64 {
-	return float64(int64(b.Tiles())*p.TileBytes) * p.Imbalance
-}
-
 // Predict estimates the overlapped latency of a partition (Alg. 1 lines
 // 10-22): computation accumulates per group; each group's communication
 // starts at max(accumulated computation at its signal, accumulated
@@ -112,43 +107,6 @@ func (p *Predictor) Predict(part gemm.Partition) (sim.Time, error) {
 		accM = sim.Max(accP, accM) + sim.Time(p.Curve.Eval(bytes))
 	}
 	return accM, nil
-}
-
-// GroupPrediction details one group's contribution to a predicted timeline.
-type GroupPrediction struct {
-	Group int
-	Waves int
-	Bytes int64
-	// ComputeReady is the accumulated computation time when the group's
-	// signal fires; CommStart/CommEnd bracket its predicted collective.
-	ComputeReady, CommStart, CommEnd sim.Time
-}
-
-// PredictBreakdown returns the per-group predicted timeline of a partition
-// — the intermediate state of Alg. 1's accumulation, useful for inspecting
-// why a partition wins (cmd/tune and the docs use it).
-func (p *Predictor) PredictBreakdown(part gemm.Partition) ([]GroupPrediction, error) {
-	if err := part.Validate(p.Waves); err != nil {
-		return nil, err
-	}
-	bounds := part.Bounds(p.Plan, p.WaveSize)
-	out := make([]GroupPrediction, 0, len(bounds))
-	var accP, accM sim.Time
-	for g, b := range bounds {
-		accP += p.PerWave * sim.Time(int64(b.WaveHi-b.WaveLo))
-		start := sim.Max(accP, accM)
-		tm := sim.Time(p.Curve.Eval(p.groupBytes(b)))
-		accM = start + tm
-		out = append(out, GroupPrediction{
-			Group:        g,
-			Waves:        b.WaveHi - b.WaveLo,
-			Bytes:        int64(p.groupBytes(b)),
-			ComputeReady: accP,
-			CommStart:    start,
-			CommEnd:      accM,
-		})
-	}
-	return out, nil
 }
 
 // Candidates enumerates the pruned design space (§4.1.4): all binary
@@ -339,13 +297,12 @@ type Tuner struct {
 	// engine's worker width). A serving layer sets this to its own
 	// engine's width so one Config.Workers knob bounds all CPU use.
 	Workers int
-	// OnEvict, when set before the first Tune or Lookup, observes every
-	// tuned entry that stops being current — capacity evictions and
-	// re-tune replacements alike — so a layer caching state derived from
-	// an entry (the serving layer's pre-encoded answers) can invalidate in
-	// lockstep. It runs under the cache lock: it must be fast and must not
-	// call back into this tuner.
-	OnEvict func(shape gemm.Shape, imbalance float64)
+	// Encode, when set before the first Tune or SeedCache, renders an
+	// entry's answer bytes once, before the entry is stored (outside the
+	// cache lock); Encoded hands them out until the entry is evicted or
+	// re-tuned, which drops them with it. The serving layer renders its
+	// /query reply here. A nil result stores the entry without bytes.
+	Encode func(CacheEntry) []byte
 
 	cacheOnce sync.Once
 	cache     *shapeCache
@@ -381,9 +338,18 @@ func (t *Tuner) shapes() *shapeCache {
 			capacity = DefaultShapeCacheCapacity
 		}
 		t.cache = newShapeCache(capacity)
-		t.cache.onEvict = t.OnEvict
 	})
 	return t.cache
+}
+
+// store caches a tuned partition together with its Encode bytes.
+func (t *Tuner) store(shape gemm.Shape, imbalance float64, part gemm.Partition) {
+	e := CacheEntry{Shape: shape, Imbalance: normImbalance(imbalance), Partition: part}
+	var encoded []byte
+	if t.Encode != nil {
+		encoded = t.Encode(e)
+	}
+	t.shapes().put(shapeKey{shape: shape, imb: e.Imbalance}, part, encoded)
 }
 
 // CacheEntry is one tuned shape-cache row in portable form: the key the
@@ -422,15 +388,15 @@ func (t *Tuner) SeedCache(entries []CacheEntry) error {
 		}
 	}
 	for _, e := range entries {
-		t.shapes().put(e.Shape, e.Imbalance, e.Partition)
+		t.store(e.Shape, e.Imbalance, e.Partition)
 	}
 	return nil
 }
 
-// Tune runs the online stage for one GEMM size and caches the result.
-// Re-tuning a shape replaces its cache entry rather than growing the cache.
-// A cancelled ctx aborts the search before any cache write, so a cancelled
-// Tune never installs a partial result.
+// Tune runs the online stage for one GEMM size and caches the result, with
+// its Encode bytes. Re-tuning a shape replaces its cache entry rather than
+// growing the cache. A cancelled ctx aborts the search before any cache
+// write, so a cancelled Tune never installs a partial result.
 func (t *Tuner) Tune(ctx context.Context, shape gemm.Shape, imbalance float64) (gemm.Partition, error) {
 	pred, err := NewPredictor(t.Plat, shape, gemm.Config{}, t.Curve, imbalance)
 	if err != nil {
@@ -441,7 +407,7 @@ func (t *Tuner) Tune(ctx context.Context, shape gemm.Shape, imbalance float64) (
 	if err != nil {
 		return nil, err
 	}
-	t.shapes().put(shape, imbalance, res.Partition)
+	t.store(shape, imbalance, res.Partition)
 	return res.Partition, nil
 }
 
@@ -550,5 +516,17 @@ func (t *Tuner) lookup(shape gemm.Shape, imbalance float64) (gemm.Partition, boo
 	return best.part.Clone(), true
 }
 
+// Encoded returns the Encode bytes of the entry tuned at exactly (shape,
+// imbalance), with imbalance normalized like LookupAt's. It reads under the
+// cache's read lock and allocates nothing. ok is false when no such entry
+// holds bytes; the bytes are shared and must not be modified.
+func (t *Tuner) Encoded(shape gemm.Shape, imbalance float64) ([]byte, bool) {
+	buf := t.shapes().encoded(shapeKey{shape: shape, imb: normImbalance(imbalance)})
+	return buf, buf != nil
+}
+
 // CacheSize reports the number of tuned shapes held.
 func (t *Tuner) CacheSize() int { return t.shapes().len() }
+
+// EncodedSize reports how many of the held entries carry Encode bytes.
+func (t *Tuner) EncodedSize() int { return t.shapes().encodedCount() }

@@ -231,6 +231,7 @@ func TestTunerCacheAndLookup(t *testing.T) {
 func TestTunerConcurrentTune(t *testing.T) {
 	tn := NewTuner(hw.RTX4090PCIe(), 2, hw.AllReduce)
 	tn.CandidateLimit = 64
+	tn.Encode = func(e CacheEntry) []byte { return []byte(e.Partition.String()) }
 	shapes := make([]gemm.Shape, 16)
 	for i := range shapes {
 		shapes[i] = gemm.Shape{M: 1024 * (i + 1), N: 8192, K: 4096}
@@ -248,6 +249,11 @@ func TestTunerConcurrentTune(t *testing.T) {
 				// Interleave lookups with tunes: the serving path reads
 				// while background tuning writes.
 				tn.Lookup(shapes[i])
+				if _, ok := tn.Encoded(shapes[i], 1); !ok {
+					t.Errorf("tuned shape %v holds no encoded bytes", shapes[i])
+					return
+				}
+				tn.Encoded(shapes[(i+1)%len(shapes)], 1) // maybe mid-tune elsewhere
 			}
 		}(w)
 	}
@@ -442,41 +448,5 @@ func TestPredictionErrorDistribution(t *testing.T) {
 	mean /= float64(len(errsPct))
 	if mean > 8 {
 		t.Fatalf("mean |error| = %.2f%%, want single digits (paper: 3.4%%)", mean)
-	}
-}
-
-func TestPredictBreakdownConsistent(t *testing.T) {
-	plat := hw.RTX4090PCIe()
-	curve := SampleBandwidthCurve(plat, 2, hw.AllReduce, nil)
-	pred, err := NewPredictor(plat, gemm.Shape{M: 4096, N: 8192, K: 8192}, gemm.Config{}, curve, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	part := gemm.EqualSized(pred.Waves, 3)
-	groups, err := pred.PredictBreakdown(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != part.Groups() {
-		t.Fatalf("groups = %d, want %d", len(groups), part.Groups())
-	}
-	total, err := pred.Predict(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := groups[len(groups)-1]
-	if last.CommEnd != total {
-		t.Fatalf("breakdown end %v != Predict %v", last.CommEnd, total)
-	}
-	for i, g := range groups {
-		if g.CommStart < g.ComputeReady {
-			t.Fatalf("group %d comm starts before its data is ready", i)
-		}
-		if i > 0 && g.CommStart < groups[i-1].CommEnd {
-			t.Fatalf("group %d comm overlaps group %d on the comm stream", i, i-1)
-		}
-	}
-	if _, err := pred.PredictBreakdown(gemm.Partition{1}); err == nil {
-		t.Fatal("bad partition accepted")
 	}
 }
