@@ -38,18 +38,81 @@ type Communicator struct {
 
 	jitter stats.Jitter
 	seq    uint64
+	// calls[i] is the state of the collective or send numbered i+1; the
+	// slots outlive Reset, so a reused communicator issues calls without
+	// allocating.
+	calls []*call
 }
 
 // New creates a communicator spanning every device of the cluster.
 func New(c *gpu.Cluster) *Communicator {
-	cm := &Communicator{
-		Cluster: c,
-		jitter:  stats.NewJitter(c.Plat.JitterSeed ^ 0xC0111EC7),
-	}
-	for _, d := range c.Devices {
-		cm.Streams = append(cm.Streams, gpu.NewStream(d, "comm"))
-	}
+	cm := new(Communicator)
+	cm.Reset(c)
 	return cm
+}
+
+// Reset makes cm a communicator over c that has issued nothing, as New
+// builds it, reusing its streams and call slots.
+func (cm *Communicator) Reset(c *gpu.Cluster) {
+	for _, k := range cm.calls[:cm.seq] {
+		k.apply = nil
+	}
+	cm.Cluster = c
+	cm.jitter = stats.NewJitter(c.Plat.JitterSeed ^ 0xC0111EC7)
+	cm.seq = 0
+	streams := cm.Streams[:cap(cm.Streams)]
+	for len(streams) < c.N() {
+		streams = append(streams, new(gpu.Stream))
+	}
+	cm.Streams = streams[:c.N()]
+	for i, st := range cm.Streams {
+		st.Reset(c.Devices[i], "comm")
+	}
+}
+
+// call is one issued collective or send: the rendezvous its ranks join
+// and the signal that fires when it completes. Its callbacks are bound
+// once, when the slot is made.
+type call struct {
+	rv       gpu.Rendezvous
+	done     gpu.Signal
+	dur      sim.Time
+	apply    func()
+	name     string
+	doneName string
+
+	duration func(sim.Time) sim.Time
+	finish   func(sim.Time)
+}
+
+// issue readies the next call slot for a call of n ranks lasting base
+// before jitter, and returns it.
+func (cm *Communicator) issue(name string, n int, base sim.Time, apply func()) *call {
+	cm.seq++
+	if int(cm.seq) > len(cm.calls) {
+		k := new(call)
+		k.duration = func(sim.Time) sim.Time { return k.dur }
+		k.finish = func(sim.Time) {
+			if k.apply != nil {
+				k.apply()
+			}
+			k.done.Fire()
+		}
+		cm.calls = append(cm.calls, k)
+	}
+	k := cm.calls[cm.seq-1]
+	if k.name != name {
+		k.name, k.doneName = name, name+":done"
+	}
+	// Deterministic per-call noise models protocol and scheduling variance
+	// the tuner's predictor cannot see. It is keyed by the call's number,
+	// so it is the same whenever it is drawn.
+	k.dur = sim.Time(float64(base) * cm.jitter.Factor(cm.Cluster.Plat.JitterAmplitude, cm.seq))
+	k.apply = apply
+	k.rv.Reset(name, n, cm.Cluster.Plat.CommSMs, k.duration)
+	k.rv.OnComplete = k.finish
+	k.done.Reset(cm.Cluster.Sim, k.doneName)
+	return k
 }
 
 // N reports the number of ranks.
@@ -80,28 +143,13 @@ func (cm *Communicator) Collective(name string, prim hw.Primitive, perRankBytes 
 	if len(perRankBytes) != cm.N() {
 		panic(fmt.Sprintf("comm: %d payload sizes for %d ranks", len(perRankBytes), cm.N()))
 	}
-	cm.seq++
-	seq := cm.seq
-	link := cm.Cluster.Plat.Link
 	n := cm.N()
-	bytes := maxBytes(perRankBytes)
-	done := gpu.NewSignal(cm.Cluster.Sim, name+":done")
-	rv := gpu.NewRendezvous(name, n, cm.Cluster.Plat.CommSMs, func(start sim.Time) sim.Time {
-		base := link.CollectiveTime(prim, float64(bytes), n)
-		// Deterministic per-call noise models protocol and scheduling
-		// variance the tuner's predictor cannot see.
-		return sim.Time(float64(base) * cm.jitter.Factor(cm.Cluster.Plat.JitterAmplitude, seq))
-	})
-	rv.OnComplete = func(end sim.Time) {
-		if apply != nil {
-			apply()
-		}
-		done.Fire()
-	}
+	base := cm.Cluster.Plat.Link.CollectiveTime(prim, float64(maxBytes(perRankBytes)), n)
+	k := cm.issue(name, n, base, apply)
 	for _, st := range cm.Streams {
-		st.Join(rv)
+		st.Join(&k.rv)
 	}
-	return done
+	return &k.done
 }
 
 // Stream returns rank i's communication stream for enqueueing gates ahead

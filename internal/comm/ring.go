@@ -136,24 +136,13 @@ func (cm *Communicator) SendRecv(name string, src, dst int, bytes int64, apply f
 	if src == dst || src < 0 || dst < 0 || src >= cm.N() || dst >= cm.N() {
 		panic(fmt.Sprintf("comm: SendRecv %d->%d invalid for %d ranks", src, dst, cm.N()))
 	}
-	cm.seq++
-	seq := cm.seq
 	link := cm.Cluster.Plat.Link
-	done := gpu.NewSignal(cm.Cluster.Sim, name+":done")
-	rv := gpu.NewRendezvous(name, 2, cm.Cluster.Plat.CommSMs, func(start sim.Time) sim.Time {
-		base := link.BaseLatency + link.PerHopLatency +
-			sim.FromSeconds(float64(bytes)/link.EffectiveBW(float64(bytes)))
-		return sim.Time(float64(base) * cm.jitter.Factor(cm.Cluster.Plat.JitterAmplitude, seq))
-	})
-	rv.OnComplete = func(sim.Time) {
-		if apply != nil {
-			apply()
-		}
-		done.Fire()
-	}
-	cm.Streams[src].Join(rv)
-	cm.Streams[dst].Join(rv)
-	return done
+	base := link.BaseLatency + link.PerHopLatency +
+		sim.FromSeconds(float64(bytes)/link.EffectiveBW(float64(bytes)))
+	k := cm.issue(name, 2, base, apply)
+	cm.Streams[src].Join(&k.rv)
+	cm.Streams[dst].Join(&k.rv)
+	return &k.done
 }
 
 // CopyP2P is the functional payload of a SendRecv over matrices.

@@ -13,8 +13,8 @@ import (
 // normalized options, the tile schedule, the cost model, and the wave-group
 // bounds — hoisted out of the per-run path so that sweeps compile once and
 // execute many times (the paper's offline/online split applied to our own
-// harness). A Compiled is safe for concurrent use: every Exec builds a fresh
-// simulator and cluster and never mutates the plan.
+// harness). A Compiled is safe for concurrent use: every Exec simulates in
+// a world of its own, reset before it runs, and never mutates the plan.
 type Compiled struct {
 	opts     Options // normalized copy; variant fields hold compile-time defaults
 	plan     *gemm.Plan
@@ -110,12 +110,23 @@ func VariantOf(o Options) Variant {
 // c.Exec(c.DefaultVariant()) reproduces Run(o) exactly.
 func (c *Compiled) DefaultVariant() Variant { return VariantOf(c.opts) }
 
-// Exec runs one simulation of the compiled plan under the variant: a fresh
-// simulator and cluster every time, so repeated and concurrent executions
-// are independent and deterministic. ctx bounds the run: cancellation stops
-// the simulation between events (wave retirements and kernel completions,
-// never mid-kernel) and Exec returns ctx.Err().
+// Exec runs one simulation of the compiled plan under the variant. Each
+// execution takes a world (simulator, cluster, streams, signals, counting
+// tables) that no other execution is using and resets it completely, so
+// repeated and concurrent executions are independent and deterministic,
+// and a run in a reused world is identical to one in a fresh world. ctx
+// bounds the run: cancellation stops the simulation between events (wave
+// retirements and kernel completions, never mid-kernel) and Exec returns
+// ctx.Err().
 func (c *Compiled) Exec(ctx context.Context, v Variant) (*Result, error) {
+	w := worlds.Get().(*world)
+	res, err := c.exec(ctx, w, v)
+	worlds.Put(w) // not reached if the execution panicked: w is dropped
+	return res, err
+}
+
+// exec runs one simulation of the compiled plan under the variant in w.
+func (c *Compiled) exec(ctx context.Context, w *world, v Variant) (*Result, error) {
 	if v.Fidelity == FidelityAnalytic {
 		return nil, fmt.Errorf("core: analytic execution needs a bandwidth curve: use Compiled.ExecAnalytic or the engine's analytic backend")
 	}
@@ -138,7 +149,7 @@ func (c *Compiled) Exec(ctx context.Context, v Variant) (*Result, error) {
 			return nil, err
 		}
 	}
-	return execute(ctx, &o, c.plan, c.cm, bounds, waveSize, c.trueSMs)
+	return execute(ctx, w, &o, c.plan, c.cm, bounds, waveSize, c.trueSMs)
 }
 
 // rebind recomputes the wave width and group bounds for an exec-time wave

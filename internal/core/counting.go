@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/gemm"
@@ -40,6 +41,15 @@ type CountingTable struct {
 // NewCountingTable builds a table over contiguous group bounds; complete is
 // invoked exactly once per group, in the call that fills it.
 func NewCountingTable(bounds []gemm.GroupBound, complete func(g int)) *CountingTable {
+	ct := new(CountingTable)
+	ct.reset(bounds, complete)
+	return ct
+}
+
+// reset makes ct an empty table over bounds, as NewCountingTable builds it.
+// The per-group counters keep their memory; the per-tile marks, which the
+// runner never uses, are dropped.
+func (ct *CountingTable) reset(bounds []gemm.GroupBound, complete func(g int)) {
 	if len(bounds) == 0 {
 		panic("core: counting table needs at least one group")
 	}
@@ -50,12 +60,11 @@ func NewCountingTable(bounds []gemm.GroupBound, complete func(g int)) *CountingT
 		}
 		covered = b.PosHi
 	}
-	return &CountingTable{
-		bounds:   bounds,
-		counts:   make([]int, len(bounds)),
-		done:     make([]bool, len(bounds)),
-		complete: complete,
-	}
+	counts := slices.Grow(ct.counts[:0], len(bounds))[:len(bounds)]
+	done := slices.Grow(ct.done[:0], len(bounds))[:len(bounds)]
+	clear(counts)
+	clear(done)
+	*ct = CountingTable{bounds: bounds, counts: counts, done: done, complete: complete}
 }
 
 // Groups reports the number of wave groups P.

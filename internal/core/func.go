@@ -13,7 +13,7 @@ import (
 // funcState holds the functional (real-data) side of an overlapped run:
 // per-device operands, reorder layouts, and communication buffers.
 type funcState struct {
-	o      *Options
+	prim   hw.Primitive
 	plan   *gemm.Plan
 	bounds []gemm.GroupBound
 	n      int
@@ -34,7 +34,7 @@ type funcState struct {
 }
 
 func newFuncState(o *Options, plan *gemm.Plan, bounds []gemm.GroupBound) (*funcState, error) {
-	fs := &funcState{o: o, plan: plan, bounds: bounds, n: o.NGPUs}
+	fs := &funcState{prim: o.Prim, plan: plan, bounds: bounds, n: o.NGPUs}
 	for d := 0; d < o.NGPUs; d++ {
 		a := tensor.New(plan.Shape.M, plan.Shape.K)
 		b := tensor.New(plan.Shape.K, plan.Shape.N)
@@ -80,7 +80,7 @@ func (fs *funcState) epilogueGroup(d, g int) {
 	for pos := b.PosLo; pos < b.PosHi; pos++ {
 		idx := fs.plan.TileAt(pos)
 		tile := fs.plan.ComputeTile(fs.as[d], fs.bs[d], idx, nil)
-		switch fs.o.Prim {
+		switch fs.prim {
 		case hw.AllReduce:
 			fs.tm.ScatterTile(fs.arBufs[d], tile, idx)
 		case hw.ReduceScatter:
@@ -91,10 +91,14 @@ func (fs *funcState) epilogueGroup(d, g int) {
 	}
 }
 
+// applier returns group g's functional collective, for the communicator to
+// run when the group's collective completes.
+func (fs *funcState) applier(g int) func() { return func() { fs.applyGroup(g) } }
+
 // applyGroup performs group g's functional collective over the contiguous
 // reordered ranges.
 func (fs *funcState) applyGroup(g int) {
-	switch fs.o.Prim {
+	switch fs.prim {
 	case hw.AllReduce:
 		b := fs.bounds[g]
 		views := make([]*tensor.Matrix, fs.n)
@@ -122,8 +126,8 @@ func (r *Result) requireFunc(p hw.Primitive) *funcState {
 	if r.funcState == nil {
 		panic("core: run was not functional")
 	}
-	if r.funcState.o.Prim != p {
-		panic(fmt.Sprintf("core: run used %v, not %v", r.funcState.o.Prim, p))
+	if r.funcState.prim != p {
+		panic(fmt.Sprintf("core: run used %v, not %v", r.funcState.prim, p))
 	}
 	return r.funcState
 }

@@ -414,9 +414,12 @@ func TestFunctionalEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// One DES execution allocates per device and per group, not per event.
-// The 4-GPU, 17-group plan below made 1456 allocations when the event heap
-// boxed every event and every stream op built its own closures.
+// One DES execution allocates per device and per group, not per event, in
+// a fresh world. In a reused world it allocates seven objects: the Result,
+// its Partition and Groups, and each of the four devices' GEMM launch. The
+// 4-GPU, 17-group plan below made 1456 allocations when the event heap
+// boxed every event and every stream op built its own closures, and 441
+// when every execution built its own world.
 func TestExecAllocatesPerDeviceAndGroup(t *testing.T) {
 	c, err := Compile(Options{Plat: hw.RTX4090PCIe(), NGPUs: 4,
 		Shape: gemm.Shape{M: 4096, N: 8192, K: 4096}, Prim: hw.AllReduce})
@@ -427,13 +430,18 @@ func TestExecAllocatesPerDeviceAndGroup(t *testing.T) {
 		t.Fatalf("plan has %d groups, want 17", g)
 	}
 	v := c.DefaultVariant()
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := c.Exec(context.Background(), v); err != nil {
-			t.Fatal(err)
+	exec := func(w *world) func() {
+		return func() {
+			if _, err := c.exec(context.Background(), w, v); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 600 {
-		t.Fatalf("Exec made %v allocations, want at most 600", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { exec(new(world))() }); allocs > 600 {
+		t.Errorf("Exec in a fresh world made %v allocations, want at most 600", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, exec(new(world))); allocs > 7 {
+		t.Errorf("Exec in a reused world made %v allocations, want at most 7", allocs)
 	}
 }
 

@@ -11,10 +11,10 @@
 //     GEMM cost model, the wave-group partition bounds — into an immutable
 //     *Plan that is safe for concurrent reuse.
 //   - Engine.ExecPlan(plan, variant) runs one execution of a compiled plan
-//     at the variant's fidelity — a simulation against a fresh simulator
-//     and cluster, or an analytic evaluation — varying only the per-run
-//     knobs (seed, imbalance, wave-size override, functional data,
-//     tracing).
+//     at the variant's fidelity — a simulation in a simulator, cluster and
+//     streams reset for it alone, or an analytic evaluation — varying only
+//     the per-run knobs (seed, imbalance, wave-size override, functional
+//     data, tracing).
 //   - Engine.Batch fans a slice of runs across a bounded worker pool with
 //     deterministic result ordering (results[i] always answers runs[i],
 //     regardless of worker count), deduplicating compilation through an LRU
@@ -25,8 +25,11 @@
 // evaluator all go through Batch/Exec, which turns every sweep from
 // O(runs x rebuild) serial work into O(unique plans) compilation plus
 // parallel execution. Results are byte-identical to serial core.Run calls:
-// each execution owns a private discrete-event simulator whose tie-breaking
-// is deterministic, so worker scheduling cannot leak into the outputs.
+// each execution has a discrete-event simulator to itself, reset
+// completely before it runs (core reuses the memory of earlier
+// executions), and its tie-breaking is deterministic, so neither worker
+// scheduling nor which memory an execution reuses can leak into the
+// outputs.
 package engine
 
 import (

@@ -15,6 +15,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -49,13 +50,22 @@ type Device struct {
 
 // NewDevice creates a device bound to the simulator.
 func NewDevice(s *sim.Simulator, plat hw.Platform, id int) *Device {
+	d := new(Device)
+	d.reset(s, plat, id)
+	return d
+}
+
+// reset makes d device id of plat on s, with nothing reserved, tracing off
+// and its jitter sequence restarted. The trace slice keeps its memory.
+func (d *Device) reset(s *sim.Simulator, plat hw.Platform, id int) {
 	if err := plat.Validate(); err != nil {
 		panic(err)
 	}
-	return &Device{
+	*d = Device{
 		ID:     id,
 		Plat:   plat,
 		Sim:    s,
+		Trace:  d.Trace[:0],
 		jitter: stats.NewJitter(plat.JitterSeed + uint64(id)*0x9e37),
 	}
 }
@@ -125,7 +135,16 @@ type waiter struct {
 
 // NewSignal creates an unfired signal.
 func NewSignal(s *sim.Simulator, name string) *Signal {
-	return &Signal{sim: s, name: name}
+	sig := new(Signal)
+	sig.Reset(s, name)
+	return sig
+}
+
+// Reset makes s an unfired signal on sm named name, with no waiters, as
+// NewSignal builds it. The waiter list keeps its memory.
+func (s *Signal) Reset(sm *sim.Simulator, name string) {
+	clear(s.waiters)
+	*s = Signal{sim: sm, name: name, waiters: s.waiters[:0]}
 }
 
 // Fire marks the signal as fired at the current virtual time and wakes
@@ -144,7 +163,8 @@ func (s *Signal) Fire() {
 			w.fn(s.at)
 		}
 	}
-	s.waiters = nil
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
 }
 
 // Fired reports whether the signal has fired, and when.
@@ -201,10 +221,26 @@ type Stream struct {
 
 // NewStream creates a named stream on dev.
 func NewStream(dev *Device, name string) *Stream {
-	st := &Stream{Dev: dev, Name: name}
-	st.done = st.complete
+	st := new(Stream)
+	st.Reset(dev, name)
 	return st
 }
+
+// Reset makes st an idle, empty stream named name on dev, as NewStream
+// builds it, dropping whatever a cancelled run left queued. The queue keeps
+// its memory.
+func (st *Stream) Reset(dev *Device, name string) {
+	done := st.done
+	if done == nil {
+		done = st.complete
+	}
+	clear(st.queue)
+	*st = Stream{Dev: dev, Name: name, queue: st.queue[:0], done: done}
+}
+
+// Grow makes room for n more queued ops, so enqueueing them does not grow
+// the queue.
+func (st *Stream) Grow(n int) { st.queue = slices.Grow(st.queue, n) }
 
 func (st *Stream) enqueue(o op) {
 	st.queue = append(st.queue, o)
@@ -364,14 +400,30 @@ type Rendezvous struct {
 	started  bool
 	released bool
 	start    sim.Time
+	// end is rv.finish, bound once so scheduling it allocates nothing.
+	end func()
 }
 
 // NewRendezvous creates a rendezvous for n participants.
 func NewRendezvous(name string, n int, smPerDev int, duration func(start sim.Time) sim.Time) *Rendezvous {
+	rv := new(Rendezvous)
+	rv.Reset(name, n, smPerDev, duration)
+	return rv
+}
+
+// Reset makes rv a rendezvous for n participants that nobody has joined,
+// as NewRendezvous builds it, with no OnComplete. The participant list
+// keeps its memory.
+func (rv *Rendezvous) Reset(name string, n int, smPerDev int, duration func(start sim.Time) sim.Time) {
 	if n < 1 {
 		panic("gpu: rendezvous needs at least one participant")
 	}
-	return &Rendezvous{Name: name, Duration: duration, SMs: smPerDev, n: n, parts: make([]*Stream, 0, n)}
+	end := rv.end
+	if end == nil {
+		end = rv.finish
+	}
+	clear(rv.parts)
+	*rv = Rendezvous{Name: name, Duration: duration, SMs: smPerDev, n: n, parts: slices.Grow(rv.parts[:0], n), end: end}
 }
 
 // join adds st as the next participant. The stream stays blocked until the
@@ -397,7 +449,7 @@ func (rv *Rendezvous) join(st *Stream) {
 	if d < 0 {
 		panic(fmt.Sprintf("gpu: rendezvous %q negative duration %v", rv.Name, d))
 	}
-	s.After(d, rv.finish)
+	s.After(d, rv.end)
 }
 
 // finish ends the collective: spans, SM release, OnComplete, then every
@@ -440,18 +492,35 @@ type Cluster struct {
 	Devices []*Device
 }
 
-// NewCluster builds n devices on a fresh simulator.
+// NewCluster builds n devices of plat on a new simulator.
 func NewCluster(plat hw.Platform, n int) *Cluster {
+	c := new(Cluster)
+	c.Reset(plat, n)
+	return c
+}
+
+// Reset makes c a cluster of n devices of plat, as NewCluster builds it:
+// a simulator at time zero, devices with nothing reserved, tracing off. It
+// reuses c's simulator and devices, and allocates only the devices c has
+// never held.
+func (c *Cluster) Reset(plat hw.Platform, n int) {
 	if n < 1 {
 		panic("gpu: cluster needs at least one device")
 	}
-	s := sim.New()
-	s.MaxSteps = 50_000_000 // livelock guard for model bugs
-	c := &Cluster{Sim: s, Plat: plat}
-	for i := 0; i < n; i++ {
-		c.Devices = append(c.Devices, NewDevice(s, plat, i))
+	if c.Sim == nil {
+		c.Sim = new(sim.Simulator)
 	}
-	return c
+	c.Sim.Reset()
+	c.Sim.MaxSteps = 50_000_000 // livelock guard for model bugs
+	c.Plat = plat
+	devs := c.Devices[:cap(c.Devices)]
+	for len(devs) < n {
+		devs = append(devs, new(Device))
+	}
+	c.Devices = devs[:n]
+	for i, d := range c.Devices {
+		d.reset(c.Sim, plat, i)
+	}
 }
 
 // N reports the number of devices.

@@ -148,7 +148,7 @@ type Stats struct {
 	EncodedHits uint64 `json:"hits_encoded"`
 	WarmEncoded int    `json:"warm_encoded"`
 	// SnapshotRestored counts tuned entries re-admitted from a warm-state
-	// snapshot at boot; SnapshotRejects counts snapshot files refused
+	// snapshot at boot and kept by the shape caches; SnapshotRejects counts snapshot files refused
 	// (corrupt, truncated, or mismatched version/platform/config), each of
 	// which fell back to a cold start.
 	SnapshotRestored uint64 `json:"snapshot_restored"`

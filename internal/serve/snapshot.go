@@ -109,7 +109,9 @@ func (s *Service) Snapshot() *Snapshot {
 // entries are replayed in LRU order, each pre-encoding its /query reply as
 // it lands, and the engine's analytic backend is seeded with the same
 // curves — so the restored replica answers warm, on the fast path,
-// byte-identically to the service that wrote the snapshot.
+// byte-identically to the service that wrote the snapshot. It returns how
+// many entries the shape caches hold afterwards: entries past a cache's
+// capacity are evicted as they are replayed and are not counted.
 //
 // Validation is all-or-nothing: a version, platform, GPU-count, or
 // search-budget mismatch — or any entry that fails the wave-count transfer
@@ -169,7 +171,9 @@ func (s *Service) RestoreSnapshot(snap *Snapshot) (restored int, err error) {
 		if err := tn.SeedCache(entries); err != nil {
 			return 0, fmt.Errorf("serve: snapshot: %w", err)
 		}
-		preps = append(preps, prepared{prim: p, tn: tn, entries: len(entries)})
+		// Count what the cache kept: entries past its capacity were
+		// evicted as they were replayed.
+		preps = append(preps, prepared{prim: p, tn: tn, entries: tn.CacheSize()})
 	}
 
 	// Commit: seed the engine's analytic curves and install the tuners.

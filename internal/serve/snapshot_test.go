@@ -197,10 +197,14 @@ func TestEncodedRepliesFollowTheShapeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	restoredSmall := small()
-	if _, err := restoredSmall.RestoreSnapshot(big.Snapshot()); err != nil {
+	n, err := restoredSmall.RestoreSnapshot(big.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
 	check("restore", restoredSmall)
+	if st := restoredSmall.Stats(); n != 2 || st.SnapshotRestored != uint64(st.ShapesCached) {
+		t.Errorf("restore: RestoreSnapshot returned %d and snapshot_restored reads %d for %d cached shapes; want 2 and 2", n, st.SnapshotRestored, st.ShapesCached)
+	}
 
 	restored := small()
 	if _, err := restored.RestoreSnapshot(warmed.Snapshot()); err != nil {

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a virtual timestamp in nanoseconds since the start of the
@@ -143,8 +144,25 @@ type Simulator struct {
 
 // New returns a simulator with the clock at zero.
 func New() *Simulator {
-	return &Simulator{}
+	s := new(Simulator)
+	s.Reset()
+	return s
 }
+
+// Reset returns s to the state New leaves it in: clock, sequence and step
+// count at zero, no queued events and no MaxSteps. The queue keeps its
+// memory, so a reused simulator schedules without growing it again.
+func (s *Simulator) Reset() {
+	if s.running {
+		panic("sim: Reset called from inside an event")
+	}
+	clear(s.queue)
+	*s = Simulator{queue: s.queue[:0]}
+}
+
+// Grow makes room for n more queued events, so scheduling them does not
+// grow the queue.
+func (s *Simulator) Grow(n int) { s.queue = slices.Grow(s.queue, n) }
 
 // Now reports the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -221,8 +239,8 @@ const interruptStride = 64
 // closure mid-execution is never interrupted, so models observe
 // cancellation only between events (for the GEMM models, between wave
 // retirements and kernel completions, never mid-kernel). A cancelled run
-// leaves the remaining queue intact; callers discard the simulator, as
-// every execution in this repository builds a fresh one.
+// leaves the remaining queue intact until Reset clears it; the core
+// runner resets its simulator before every execution, cancelled or not.
 func (s *Simulator) RunCtx(ctx context.Context) error {
 	s.enter()
 	defer s.exit()

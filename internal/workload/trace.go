@@ -88,6 +88,10 @@ func WriteTrace(w io.Writer, t Trace) error {
 	return bw.Flush()
 }
 
+// maxTracePresize bounds how many events ReadTrace makes room for before it
+// has read them.
+const maxTracePresize = 1 << 14
+
 // ReadTrace decodes and validates a v1 NDJSON trace. It is strict: version
 // mismatch, malformed lines, an event count disagreeing with the header,
 // out-of-order offsets, or nonsensical events (non-positive dims, negative
@@ -112,7 +116,11 @@ func ReadTrace(r io.Reader) (Trace, error) {
 	if hdr.Events < 0 {
 		return Trace{}, fmt.Errorf("workload: trace header declares %d events", hdr.Events)
 	}
-	t := Trace{Name: hdr.Name, Events: make([]TraceEvent, 0, hdr.Events)}
+	// The header's count sizes the slice only up to a bound: it is input,
+	// and a huge count would otherwise allocate before a line is read.
+	// append grows past the bound, and the truncation check below compares
+	// the counts either way.
+	t := Trace{Name: hdr.Name, Events: make([]TraceEvent, 0, min(hdr.Events, maxTracePresize))}
 	line := 1
 	var prev int64
 	for sc.Scan() {

@@ -82,25 +82,66 @@ func TestSynthOrderedAndBounded(t *testing.T) {
 	}
 }
 
+// invalidTraces are trace files ReadTrace must reject, by what is wrong
+// with them.
+var invalidTraces = map[string]string{
+	"empty":           "",
+	"bad version":     `{"version":2,"events":0}` + "\n",
+	"truncated":       `{"version":1,"events":2}` + "\n" + `{"offset_ms":0,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
+	"overcounted":     `{"version":1,"events":0}` + "\n" + `{"offset_ms":0,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
+	"bad shape":       `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"prim":"AR","m":0,"n":1,"k":1}` + "\n",
+	"missing prim":    `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"m":1,"n":1,"k":1}` + "\n",
+	"negative offset": `{"version":1,"events":1}` + "\n" + `{"offset_ms":-5,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
+	"out of order":    `{"version":1,"events":2}` + "\n" + `{"offset_ms":10,"prim":"AR","m":1,"n":1,"k":1}` + "\n" + `{"offset_ms":5,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
+	"bad imbalance":   `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"prim":"A2A","m":1,"n":1,"k":1,"imbalance":0.5}` + "\n",
+	"not json":        `{"version":1,"events":1}` + "\n" + "not json\n",
+	"header not json": "nope\n",
+	"huge count":      `{"version":1,"events":4611686018427387904}` + "\n",
+}
+
 func TestReadTraceStrict(t *testing.T) {
-	cases := map[string]string{
-		"empty":           "",
-		"bad version":     `{"version":2,"events":0}` + "\n",
-		"truncated":       `{"version":1,"events":2}` + "\n" + `{"offset_ms":0,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
-		"overcounted":     `{"version":1,"events":0}` + "\n" + `{"offset_ms":0,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
-		"bad shape":       `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"prim":"AR","m":0,"n":1,"k":1}` + "\n",
-		"missing prim":    `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"m":1,"n":1,"k":1}` + "\n",
-		"negative offset": `{"version":1,"events":1}` + "\n" + `{"offset_ms":-5,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
-		"out of order":    `{"version":1,"events":2}` + "\n" + `{"offset_ms":10,"prim":"AR","m":1,"n":1,"k":1}` + "\n" + `{"offset_ms":5,"prim":"AR","m":1,"n":1,"k":1}` + "\n",
-		"bad imbalance":   `{"version":1,"events":1}` + "\n" + `{"offset_ms":0,"prim":"A2A","m":1,"n":1,"k":1,"imbalance":0.5}` + "\n",
-		"not json":        `{"version":1,"events":1}` + "\n" + "not json\n",
-		"header not json": "nope\n",
-	}
-	for name, raw := range cases {
+	for name, raw := range invalidTraces {
 		if _, err := ReadTrace(strings.NewReader(raw)); err == nil {
 			t.Errorf("%s: ReadTrace accepted an invalid trace", name)
 		}
 	}
+}
+
+// FuzzReadTrace holds ReadTrace to its contract on any input: it never
+// panics, and a trace it accepts writes out and reads back as an equal
+// trace, whose second writing is byte-identical to the first.
+func FuzzReadTrace(f *testing.F) {
+	for _, raw := range invalidTraces {
+		f.Add([]byte(raw))
+	}
+	var valid bytes.Buffer
+	if err := WriteTrace(&valid, Synth(SynthConfig{Seed: 1, Duration: 2 * time.Second, QPS: 40})); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		tr, err := ReadTrace(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteTrace(&first, tr); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadTrace(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("an accepted trace, written out, reads back with %v:\n%s", err, first.Bytes())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("an accepted trace read back as\n%+v\nnot\n%+v", back, tr)
+		}
+		if err := WriteTrace(&second, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("an accepted trace wrote\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestReplayOffersWholeTrace(t *testing.T) {
