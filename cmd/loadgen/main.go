@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -90,7 +91,7 @@ func main() {
 		log.Fatal("loadgen: -target is required (or -write to only generate a trace)")
 	}
 
-	client := &http.Client{Timeout: *timeout}
+	client := shard.NewHTTPClient(*timeout, *maxInflight)
 	ctx := context.Background()
 	rep, err := workload.Replay(ctx, workload.ReplayOptions{
 		Target:      *target,

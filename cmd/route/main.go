@@ -42,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"time"
 
@@ -75,7 +74,7 @@ func main() {
 	// plane (two slots, one real replica) instead of failing here.
 	urls, err := shard.ParseReplicas(*replicas)
 	fatal(err)
-	httpClient := &http.Client{Timeout: *timeout}
+	httpClient := shard.NewHTTPClient(*timeout, shard.DefaultInflight)
 	clients := make([]shard.Client, len(urls))
 	for i, u := range urls {
 		clients[i] = &shard.HTTPClient{Base: u, HTTP: httpClient}

@@ -59,7 +59,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -112,7 +111,7 @@ func main() {
 	prims, err := serve.ParsePrimitives(*primsArg)
 	fatal(err)
 
-	httpClient := &http.Client{Timeout: *timeout}
+	httpClient := shard.NewHTTPClient(*timeout, shard.DefaultInflight)
 	clients := make([]shard.Client, len(urls))
 	for i, u := range urls {
 		clients[i] = &shard.HTTPClient{Base: u, HTTP: httpClient}

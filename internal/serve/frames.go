@@ -4,547 +4,477 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
-	"strings"
-	"unicode/utf16"
-	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/gemm"
 	"repro/internal/hw"
+	"repro/internal/sim"
 )
 
-// maxFrameDepth is encoding/json's nesting bound: a line that opens more
-// objects and arrays than this is rejected before it can grow the stack.
-const maxFrameDepth = 10000
+// A v2 line is the canonical JSON of its frame: the bytes json.Encoder
+// writes for it — fields in struct order, omitempty fields absent when
+// empty, strings HTML-escaped, no whitespace — and one trailing newline.
+// appendFrame writes such lines without reflection and DecodeSweepFrame
+// reads them back, rejecting every other line. The rare values, an error
+// body, a Trace and a string that needs escapes, go through encoding/json
+// on both sides, and the reader checks that their bytes are canonical.
 
-// DecodeSweepFrame decodes one v2 frame line into fr as
-// json.Unmarshal(line, fr) would: it accepts the same lines and yields the
-// same frame, without reflection and in one pass over the line. That
-// covers encoding/json's corners: a key selects a field exactly, else
-// case-folded as encoding/json folds it; unknown keys, such as the
-// router's owner and replica, are skipped; null leaves a scalar as it is
-// and sets a pointer or slice to nil; a repeated key decodes into the
-// value already there; invalid UTF-8 in a string becomes U+FFFD; an
-// integer field takes only an integer that fits; nesting deeper than
-// 10000 levels is rejected. A plan is rebuilt by gemm.RebuildPlan, as
-// gemm.Plan.UnmarshalJSON rebuilds it. The rarely sent values, an error
-// frame's error and a traced result's Trace, go to json.Unmarshal as raw
-// bytes. Whitespace around the value, the line's newline included, is
-// ignored. On error fr may be partly written, as with json.Unmarshal.
+// appendFrame appends fr's v2 line to b.
+func appendFrame[R sweepResult](b []byte, fr Frame[R]) []byte {
+	b = appendString(append(b, `{"frame":`...), fr.Frame)
+	if fr.Index != 0 {
+		b = appendInt(b, `,"index":`, int64(fr.Index))
+	}
+	if fr.Fidelity != "" {
+		b = appendString(append(b, `,"fidelity":`...), fr.Fidelity)
+	}
+	if fr.Result != nil {
+		b = (*fr.Result).AppendJSON(append(b, `,"result":`...))
+	}
+	if fr.Count != 0 {
+		b = appendInt(b, `,"count":`, int64(fr.Count))
+	}
+	if fr.Salvaged != 0 {
+		b = appendInt(b, `,"salvaged":`, int64(fr.Salvaged))
+	}
+	if fr.Error != nil {
+		b = appendMarshal(append(b, `,"error":`...), fr.Error)
+	}
+	return append(b, "}\n"...)
+}
+
+// AppendJSON appends r's canonical JSON, the bytes json.Marshal writes for
+// it. A type embedding SweepResult with fields of its own must define its
+// own AppendJSON: the promoted one drops them.
+func (r SweepResult) AppendJSON(b []byte) []byte {
+	b = appendString(append(b, `{"shape":`...), r.Shape)
+	b = appendString(append(b, `,"primitive":`...), r.Primitive)
+	b = appendInts(append(b, `,"partition":`...), r.Partition)
+	b = appendInt(b, `,"waves":`, int64(r.Waves))
+	b = appendString(append(b, `,"fidelity":`...), r.Fidelity)
+	if r.PredictedNs != 0 {
+		b = appendInt(b, `,"predicted_ns":`, r.PredictedNs)
+	}
+	if r.Source != "" {
+		b = appendString(append(b, `,"source":`...), r.Source)
+	}
+	if r.Result == nil {
+		return append(b, `,"result":null}`...)
+	}
+	return append(appendResult(append(b, `,"result":`...), r.Result), '}')
+}
+
+func appendResult(b []byte, r *core.Result) []byte {
+	if p := r.Plan; p == nil {
+		b = append(b, `{"Plan":null`...)
+	} else {
+		b = appendInt(b, `{"Plan":{"Shape":{"M":`, int64(p.Shape.M))
+		b = appendInt(b, `,"N":`, int64(p.Shape.N))
+		b = appendInt(b, `,"K":`, int64(p.Shape.K))
+		b = appendInt(b, `},"Cfg":{"TileM":`, int64(p.Cfg.TileM))
+		b = appendInt(b, `,"TileN":`, int64(p.Cfg.TileN))
+		b = appendInt(b, `,"Swizzle":`, int64(p.Cfg.Swizzle))
+		b = appendInt(b, `},"RowTiles":`, int64(p.RowTiles))
+		b = appendInt(b, `,"ColTiles":`, int64(p.ColTiles))
+		b = append(appendInt(b, `,"Tiles":`, int64(p.Tiles)), '}')
+	}
+	b = appendInts(append(b, `,"Partition":`...), r.Partition)
+	b = appendInt(b, `,"WaveSize":`, int64(r.WaveSize))
+	b = appendInt(b, `,"Waves":`, int64(r.Waves))
+	b = appendInt(b, `,"Latency":`, int64(r.Latency))
+	b = appendInt(b, `,"GEMMEnd":`, int64(r.GEMMEnd))
+	b = append(b, `,"Groups":`...)
+	if r.Groups == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, g := range r.Groups {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendInt(b, `{"Bytes":`, g.Bytes)
+			b = appendInt(b, `,"SignalAt":`, int64(g.SignalAt))
+			b = append(appendInt(b, `,"CommEnd":`, int64(g.CommEnd)), '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendString(append(b, `,"Fidelity":`...), string(r.Fidelity))
+	if len(r.Trace) != 0 {
+		b = appendMarshal(append(b, `,"Trace":`...), r.Trace)
+	}
+	return append(b, '}')
+}
+
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+func appendInts(b []byte, s []int) []byte {
+	if s == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return append(b, ']')
+}
+
+// appendString writes s raw when encoding/json would: printable ASCII
+// other than the quote, the backslash and the HTML-escaped <, > and &.
+// Any other string is encoding/json's to escape.
+func appendString(b []byte, s string) []byte {
+	for i := range len(s) {
+		if !plain(s[i]) {
+			return appendMarshal(b, s)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+func plain(c byte) bool {
+	return c >= ' ' && c < 0x80 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// appendMarshal appends v as json.Marshal writes it. The types a frame
+// carries hold no value json.Marshal rejects.
+func appendMarshal(b []byte, v any) []byte {
+	raw, _ := json.Marshal(v)
+	return append(b, raw...)
+}
+
+// DecodeSweepFrame decodes one v2 line, its newline included, into fr. It
+// accepts exactly the lines appendFrame writes, a replica's and the
+// router's (whose results end with their owner and replica, which it
+// skips), and decodes each to the frame json.Unmarshal gives. Any other
+// line is rejected: whitespace, another key order, a zero-valued omitempty
+// field such as "index":0, a missing or unknown key, a non-canonical
+// number or string. A plan is rebuilt by gemm.RebuildPlan. DecodeSweepFrame
+// overwrites all of fr; on error fr may be partly written.
 func DecodeSweepFrame(line []byte, fr *SweepFrame) error {
-	d := frameDecoder{data: line}
-	d.frame(fr)
-	if d.next(); d.err == nil && d.off < len(d.data) {
+	d := reader{line: line}
+	*fr = SweepFrame{}
+	d.lit(`{"frame":`)
+	fr.Frame = d.str()
+	fr.Index = d.optInt(`,"index":`)
+	fr.Fidelity = d.optStr(`,"fidelity":`)
+	if d.skip(`,"result":`) {
+		fr.Result = d.sweepResult()
+	}
+	fr.Count = d.optInt(`,"count":`)
+	fr.Salvaged = d.optInt(`,"salvaged":`)
+	if d.skip(`,"error":`) {
+		fr.Error = new(ErrorBody)
+		rare(&d, fr.Error)
+	}
+	d.lit("}\n")
+	if d.err == nil && d.off != len(d.line) {
 		d.fail("data after the frame")
 	}
 	return d.err
 }
 
-// frameDecoder reads one line. Like bufio.Scanner it keeps its first
-// error: after a failure every read sees the end of the line, so callers
-// check d.err once instead of after every call.
-type frameDecoder struct {
-	data  []byte
-	off   int
-	depth int
-	buf   []byte // unquoted bytes of a string that needed unquoting
-	err   error
+// reader reads one line. It keeps its first error, and after a failure
+// every read sees the end of the line, so callers check d.err once.
+type reader struct {
+	line []byte
+	off  int
+	err  error
 }
 
-func (d *frameDecoder) fail(format string, args ...any) {
+func (d *reader) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("serve: sweep frame at byte %d: %s", d.off, fmt.Sprintf(format, args...))
 	}
-	d.off = len(d.data)
+	d.off = len(d.line)
 }
 
-// next skips whitespace and returns the next byte, or 0 at the end.
-func (d *frameDecoder) next() byte {
-	for ; d.off < len(d.data); d.off++ {
-		switch c := d.data[d.off]; c {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return c
-		}
-	}
-	return 0
-}
-
-func (d *frameDecoder) literal(lit string) {
-	if !bytes.HasPrefix(d.data[d.off:], []byte(lit)) {
-		d.fail("invalid literal")
-		return
+// skip consumes lit if the line continues with it.
+func (d *reader) skip(lit string) bool {
+	if len(d.line)-d.off < len(lit) || string(d.line[d.off:d.off+len(lit)]) != lit {
+		return false
 	}
 	d.off += len(lit)
-}
-
-// null consumes a null if one is next.
-func (d *frameDecoder) null() bool {
-	if d.next() != 'n' {
-		return false
-	}
-	d.literal("null")
 	return true
 }
 
-// object reads an object, calling member with each key and the decoder
-// at the key's value, which member must consume. null is an absent
-// object: the struct it would fill is left as it is.
-func (d *frameDecoder) object(member func(key []byte)) {
-	if d.null() {
-		return
-	}
-	if !d.open('{') {
-		return
-	}
-	if d.next() == '}' {
-		d.close()
-		return
-	}
-	for d.err == nil {
-		if d.next() != '"' {
-			d.fail("want a key")
-			return
-		}
-		key := d.str()
-		if d.next() != ':' {
-			d.fail("want ':'")
-			return
-		}
-		d.off++
-		member(key)
-		switch d.next() {
-		case ',':
-			d.off++
-		case '}':
-			d.close()
-			return
-		default:
-			d.fail("want ',' or '}'")
-		}
+// lit consumes lit, which the line must continue with.
+func (d *reader) lit(lit string) {
+	if !d.skip(lit) {
+		d.fail("want %s", lit)
 	}
 }
 
-// array reads an array, calling elem with each element's index and the
-// decoder at the element, which elem must consume. It returns the count.
-func (d *frameDecoder) array(elem func(i int)) int {
-	if !d.open('[') {
-		return 0
+// int64 reads a canonical integer: an optional minus, then 0 or digits
+// without a leading zero, within int64. -0 is not canonical.
+func (d *reader) int64() int64 {
+	neg := d.off < len(d.line) && d.line[d.off] == '-'
+	if neg {
+		d.off++
 	}
-	if d.next() == ']' {
-		d.close()
-		return 0
-	}
-	for i := 0; d.err == nil; i++ {
-		elem(i)
-		switch d.next() {
-		case ',':
-			d.off++
-		case ']':
-			d.close()
-			return i + 1
-		default:
-			d.fail("want ',' or ']'")
+	first := d.off
+	var n uint64
+	for ; d.off < len(d.line) && '0' <= d.line[d.off] && d.line[d.off] <= '9'; d.off++ {
+		if n > math.MaxInt64/10 { // one more digit passes every int64
+			n = math.MaxUint64
+		} else {
+			n = n*10 + uint64(d.line[d.off]-'0')
 		}
 	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if d.off == first || d.line[first] == '0' && (d.off-first > 1 || neg) || n > limit {
+		d.off = first
+		d.fail("not a canonical integer")
+		return 0
+	}
+	if neg {
+		return -int64(n)
+	}
+	return int64(n)
+}
+
+func (d *reader) int() int {
+	n := d.int64()
+	if int64(int(n)) != n {
+		d.fail("%d does not fit an int", n)
+	}
+	return int(n)
+}
+
+// optInt reads an omitempty integer: absent is 0, and present is never 0.
+func (d *reader) optInt(key string) int {
+	if !d.skip(key) {
+		return 0
+	}
+	if n := d.int(); n != 0 {
+		return n
+	}
+	d.fail("%s0 is written absent", key)
 	return 0
 }
 
-func (d *frameDecoder) open(c byte) bool {
-	if d.next() != c {
-		d.fail("want %q", c)
-		return false
+// optStr reads an omitempty string: absent is "", and present is never "".
+func (d *reader) optStr(key string) string {
+	if !d.skip(key) {
+		return ""
 	}
-	if d.depth++; d.depth > maxFrameDepth {
-		d.fail("nested deeper than %d", maxFrameDepth)
-		return false
+	if s := d.str(); s != "" {
+		return s
 	}
-	d.off++
-	return true
+	d.fail(`%s"" is written absent`, key)
+	return ""
 }
 
-func (d *frameDecoder) close() {
-	d.depth--
-	d.off++
-}
-
-// skip reads past one value of any kind, checking its grammar.
-func (d *frameDecoder) skip() {
-	switch c := d.next(); {
-	case c == '{':
-		d.object(func([]byte) { d.skip() })
-	case c == '[':
-		d.array(func(int) { d.skip() })
-	case c == '"':
-		d.str()
-	case c == 't':
-		d.literal("true")
-	case c == 'f':
-		d.literal("false")
-	case c == 'n':
-		d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		d.number()
-	default:
-		d.fail("want a value")
-	}
-}
-
-// str reads the string at d.off and returns its unquoted bytes: a slice of
-// the line when nothing needs unquoting, else d.buf, valid until the next
-// string.
-func (d *frameDecoder) str() []byte {
-	d.off++
-	start := d.off
-	for ; d.off < len(d.data); d.off++ {
-		switch c := d.data[d.off]; {
-		case c == '"':
-			d.off++
-			return d.data[start : d.off-1]
-		case c == '\\', c < ' ', c >= utf8.RuneSelf:
-			return d.unquote(start)
+// str reads a string. One that encoding/json writes unescaped ends at the
+// first quote; any other goes to rare.
+func (d *reader) str() string {
+	if d.off < len(d.line) && d.line[d.off] == '"' {
+		for i := d.off + 1; i < len(d.line); i++ {
+			if c := d.line[i]; c == '"' {
+				s := d.line[d.off+1 : i]
+				d.off = i + 1
+				return word(s)
+			} else if !plain(c) {
+				break
+			}
 		}
 	}
-	d.fail("unterminated string")
-	return nil
+	var s string
+	rare(d, &s)
+	return s
 }
 
-// unquote finishes a string from the first byte str could not pass
-// through, decoding it as encoding/json does: escapes, surrogate pairs
-// (a lone surrogate becomes U+FFFD), and invalid UTF-8 as U+FFFD.
-func (d *frameDecoder) unquote(start int) []byte {
-	b := append(d.buf[:0], d.data[start:d.off]...)
-	for d.off < len(d.data) {
-		c := d.data[d.off]
-		switch {
-		case c == '"':
-			d.off++
-			d.buf = b
-			return b
-		case c < ' ':
-			d.fail("control character in string")
-			return nil
-		case c < utf8.RuneSelf && c != '\\':
-			b = append(b, c)
-			d.off++
-		case c >= utf8.RuneSelf:
-			r, n := utf8.DecodeRune(d.data[d.off:])
-			b = utf8.AppendRune(b, r)
-			d.off += n
-		default:
-			if d.off+1 >= len(d.data) {
-				d.fail("unterminated string")
-				return nil
-			}
-			if i := strings.IndexByte(`"\/bfnrt`, d.data[d.off+1]); i >= 0 {
-				b = append(b, "\"\\/\b\f\n\r\t"[i])
-				d.off += 2
-				continue
-			}
-			r := hex4(d.data[d.off:])
-			if r < 0 {
-				d.fail("invalid escape")
-				return nil
-			}
-			d.off += 6
-			if utf16.IsSurrogate(r) {
-				if pair := utf16.DecodeRune(r, hex4(d.data[d.off:])); pair != utf8.RuneError {
-					r = pair
-					d.off += 6
-				} else {
-					r = utf8.RuneError
-				}
-			}
-			b = utf8.AppendRune(b, r)
-		}
-	}
-	d.fail("unterminated string")
-	return nil
-}
-
-// hex4 decodes the \uXXXX escape that s starts with, or returns -1.
-func hex4(s []byte) rune {
-	if len(s) < 6 || s[0] != '\\' || s[1] != 'u' {
-		return -1
-	}
-	r, err := strconv.ParseUint(string(s[2:6]), 16, 16)
-	if err != nil {
-		return -1
-	}
-	return rune(r)
-}
-
-// number reads a number literal.
-func (d *frameDecoder) number() []byte {
-	start := d.off
-	if d.off < len(d.data) && d.data[d.off] == '-' {
-		d.off++
-	}
-	ok := true
-	if d.off < len(d.data) && d.data[d.off] == '0' {
-		d.off++
-	} else {
-		ok = d.digits()
-	}
-	if ok && d.off < len(d.data) && d.data[d.off] == '.' {
-		d.off++
-		ok = d.digits()
-	}
-	if ok && d.off < len(d.data) && (d.data[d.off] == 'e' || d.data[d.off] == 'E') {
-		d.off++
-		if d.off < len(d.data) && (d.data[d.off] == '+' || d.data[d.off] == '-') {
-			d.off++
-		}
-		ok = d.digits()
-	}
-	if !ok {
-		d.fail("invalid number")
-		return nil
-	}
-	return d.data[start:d.off]
-}
-
-func (d *frameDecoder) digits() bool {
-	start := d.off
-	for d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9' {
-		d.off++
-	}
-	return d.off > start
-}
-
-// integer reads an integer field as encoding/json does, through
-// strconv.ParseInt: null leaves the field, and a fraction, an exponent or
-// a value the field cannot hold is rejected.
-func integer[T ~int | ~int64](d *frameDecoder, p *T) {
-	if d.null() {
-		return
-	}
-	d.next()
-	lit := d.number()
-	if d.err != nil {
-		return
-	}
-	n, err := strconv.ParseInt(string(lit), 10, 64)
-	if v := T(n); err == nil && int64(v) == n {
-		*p = v
-		return
-	}
-	d.fail("%s does not fit an integer field", lit)
-}
-
-// int is integer[int] as a method value, to decode slice elements.
-func (d *frameDecoder) int(p *int) { integer(d, p) }
-
-// text reads a string field; null leaves it.
-func text[T ~string](d *frameDecoder, p *T) {
-	if d.null() {
-		return
-	}
-	if d.next() != '"' {
-		d.fail("want a string")
-		return
-	}
-	s := d.str()
-	if d.err != nil {
-		return
-	}
+// word returns s as a string, reusing the constant for the words nearly
+// every frame repeats instead of allocating a copy.
+func word(s []byte) string {
 	for _, w := range wireWords {
 		if string(s) == w {
-			*p = T(w)
-			return
+			return w
 		}
 	}
-	*p = T(s)
+	return string(s)
 }
 
-// wireWords are the strings nearly every frame repeats; decoding one
-// reuses the constant instead of allocating a copy.
 var wireWords = []string{
 	FrameResult, FrameDone, FrameError, FidelityDES, FidelityAnalytic, SourceCache, SourceTuned,
 	hw.AllReduce.String(), hw.ReduceScatter.String(), hw.AllToAll.String(),
 }
 
-// member is one field of a struct a frame carries: its JSON key and how
-// to decode its value into the struct.
-type member struct {
-	key    string
-	decode func()
-}
-
-// members reads an object into the struct ms describe. A key selects a
-// member as encoding/json selects a field: exactly first, else
-// case-folded (for these ASCII keys, equality under encoding/json's
-// foldName is bytes.EqualFold). Other keys are skipped.
-func (d *frameDecoder) members(ms ...member) {
-	d.object(func(key []byte) {
-		for _, m := range ms {
-			if string(key) == m.key {
-				m.decode()
-				return
-			}
-		}
-		for _, m := range ms {
-			if bytes.EqualFold(key, []byte(m.key)) {
-				m.decode()
-				return
-			}
-		}
-		d.skip()
-	})
-}
-
-// ptr decodes a pointer field: null sets it nil; any other value decodes
-// into *p, allocated first if nil.
-func ptr[T any](d *frameDecoder, p **T, decode func(*T)) {
-	if d.null() {
-		*p = nil
-		return
-	}
-	if *p == nil {
-		*p = new(T)
-	}
-	decode(*p)
-}
-
-// slice decodes a slice field as encoding/json does: null sets it nil;
-// elements decode into the existing ones, stale fields included; a longer
-// array extends the slice within its capacity before growing it, a
-// shorter one truncates it, and [] makes it empty but not nil.
-func slice[S ~[]E, E any](d *frameDecoder, p *S, decode func(*E)) {
-	if d.null() {
-		*p = nil
-		return
-	}
-	s := *p
-	n := d.array(func(i int) {
-		if i == cap(s) {
-			// Doubling from 4 ends at the capacity json.Decoder would
-			// for 4 or more elements, in fewer steps.
-			s = slices.Grow(s, max(4, i))
-		}
-		if i == len(s) {
-			s = s[:i+1]
-		}
-		decode(&s[i])
-	})
-	switch {
-	case n == 0:
-		s = S{}
-	case n < len(s):
-		s = s[:n]
-	}
-	*p = s
-}
-
-// raw hands the next value's bytes to json.Unmarshal into *p.
-func raw[T any](d *frameDecoder, p *T) {
-	d.next()
-	start := d.off
-	d.skip()
+// rare decodes the value at d.off into v with encoding/json, and accepts
+// it only if its bytes are the ones json.Marshal writes for v.
+func rare[T any](d *reader, v *T) {
 	if d.err != nil {
 		return
 	}
-	v := *p
-	if err := json.Unmarshal(d.data[start:d.off], &v); err != nil {
-		d.off = start
+	dec := json.NewDecoder(bytes.NewReader(d.line[d.off:]))
+	if err := dec.Decode(v); err != nil {
 		d.fail("%v", err)
 		return
 	}
-	*p = v
-}
-
-func (d *frameDecoder) frame(fr *SweepFrame) {
-	d.members(
-		member{"frame", func() { text(d, &fr.Frame) }},
-		member{"index", func() { integer(d, &fr.Index) }},
-		member{"fidelity", func() { text(d, &fr.Fidelity) }},
-		member{"result", func() { ptr(d, &fr.Result, d.sweepResult) }},
-		member{"count", func() { integer(d, &fr.Count) }},
-		member{"salvaged", func() { integer(d, &fr.Salvaged) }},
-		member{"error", func() { raw(d, &fr.Error) }},
-	)
-}
-
-func (d *frameDecoder) sweepResult(r *SweepResult) {
-	d.members(
-		member{"shape", func() { text(d, &r.Shape) }},
-		member{"primitive", func() { text(d, &r.Primitive) }},
-		member{"partition", func() { slice(d, &r.Partition, d.int) }},
-		member{"waves", func() { integer(d, &r.Waves) }},
-		member{"fidelity", func() { text(d, &r.Fidelity) }},
-		member{"predicted_ns", func() { integer(d, &r.PredictedNs) }},
-		member{"source", func() { text(d, &r.Source) }},
-		member{"result", func() { ptr(d, &r.Result, d.result) }},
-	)
-}
-
-func (d *frameDecoder) result(r *core.Result) {
-	d.members(
-		member{"Plan", func() { d.plan(&r.Plan) }},
-		member{"Partition", func() { slice(d, &r.Partition, d.int) }},
-		member{"WaveSize", func() { integer(d, &r.WaveSize) }},
-		member{"Waves", func() { integer(d, &r.Waves) }},
-		member{"Latency", func() { integer(d, &r.Latency) }},
-		member{"GEMMEnd", func() { integer(d, &r.GEMMEnd) }},
-		member{"Groups", func() { slice(d, &r.Groups, d.group) }},
-		member{"Fidelity", func() { text(d, &r.Fidelity) }},
-		member{"Trace", func() { raw(d, &r.Trace) }},
-	)
-}
-
-func (d *frameDecoder) group(g *core.GroupTiming) {
-	d.members(
-		member{"Bytes", func() { integer(d, &g.Bytes) }},
-		member{"SignalAt", func() { integer(d, &g.SignalAt) }},
-		member{"CommEnd", func() { integer(d, &g.CommEnd) }},
-	)
-}
-
-// plan decodes a plan the way gemm.Plan.UnmarshalJSON does: null sets it
-// nil; an object is a definition, read into a fresh value and rebuilt by
-// gemm.RebuildPlan, which replaces the whole plan.
-func (d *frameDecoder) plan(p **gemm.Plan) {
-	if d.null() {
-		*p = nil
+	end := d.off + int(dec.InputOffset())
+	if want, _ := json.Marshal(v); !canonical(d.line[d.off:end], want) {
+		d.fail("not canonical JSON")
 		return
 	}
-	if d.next() != '{' {
-		d.fail("want a plan")
-		return
+	d.off = end
+}
+
+// canonical reports whether got is want, except that got may hold the
+// escape \ufffd where want holds U+FFFD: encoding/json writes a byte of
+// invalid UTF-8 as \ufffd, which decodes to U+FFFD, so such a line is one
+// appendFrame writes for the string that held the byte.
+func canonical(got, want []byte) bool {
+	for len(got) > 0 && len(want) > 0 {
+		switch {
+		case got[0] == want[0]:
+			got, want = got[1:], want[1:]
+		case bytes.HasPrefix(got, []byte(`\ufffd`)) && bytes.HasPrefix(want, []byte("\uFFFD")):
+			got, want = got[6:], want[3:]
+		default:
+			return false
+		}
 	}
+	return len(got) == len(want)
+}
+
+// list reads a slice element by element: null is nil and [] is empty. per
+// is the number of commas an element holds plus one, to size the slice.
+func list[E any](d *reader, per int, elem func() E) []E {
+	if d.skip("null") {
+		return nil
+	}
+	d.lit("[")
+	if d.skip("]") {
+		return []E{}
+	}
+	end := bytes.IndexByte(d.line[d.off:], ']')
+	s := make([]E, 0, (bytes.Count(d.line[d.off:d.off+max(end, 0)], []byte(","))+1)/per)
+	for d.err == nil {
+		s = append(s, elem())
+		if !d.skip(",") {
+			break
+		}
+	}
+	d.lit("]")
+	return s
+}
+
+// decoded holds a result frame's two results in one allocation.
+type decoded struct {
+	SweepResult
+	result core.Result
+}
+
+func (d *reader) sweepResult() *SweepResult {
+	p := new(decoded)
+	r := &p.SweepResult
+	d.lit(`{"shape":`)
+	r.Shape = d.str()
+	d.lit(`,"primitive":`)
+	r.Primitive = d.str()
+	d.lit(`,"partition":`)
+	r.Partition = list(d, 1, d.int)
+	d.lit(`,"waves":`)
+	r.Waves = d.int()
+	d.lit(`,"fidelity":`)
+	r.Fidelity = d.str()
+	if d.skip(`,"predicted_ns":`) {
+		if r.PredictedNs = d.int64(); r.PredictedNs == 0 {
+			d.fail(`"predicted_ns":0 is written absent`)
+		}
+	}
+	r.Source = d.optStr(`,"source":`)
+	d.lit(`,"result":`)
+	if !d.skip("null") {
+		r.Result = &p.result
+		d.result(r.Result)
+	}
+	// The router's result appends its attribution here (shard.SweepResult).
+	if d.skip(`,"owner":`) {
+		d.int()
+		d.lit(`,"replica":`)
+		d.int()
+	}
+	d.lit("}")
+	return r
+}
+
+func (d *reader) result(r *core.Result) {
+	d.lit(`{"Plan":`)
+	if !d.skip("null") {
+		r.Plan = d.plan()
+	}
+	d.lit(`,"Partition":`)
+	r.Partition = list(d, 1, d.int)
+	d.lit(`,"WaveSize":`)
+	r.WaveSize = d.int()
+	d.lit(`,"Waves":`)
+	r.Waves = d.int()
+	d.lit(`,"Latency":`)
+	r.Latency = sim.Time(d.int64())
+	d.lit(`,"GEMMEnd":`)
+	r.GEMMEnd = sim.Time(d.int64())
+	d.lit(`,"Groups":`)
+	r.Groups = list(d, 3, d.group)
+	d.lit(`,"Fidelity":`)
+	r.Fidelity = core.Fidelity(d.str())
+	if d.skip(`,"Trace":`) {
+		if rare(d, &r.Trace); len(r.Trace) == 0 {
+			d.fail("an empty Trace is written absent")
+		}
+	}
+	d.lit("}")
+}
+
+func (d *reader) group() core.GroupTiming {
+	var g core.GroupTiming
+	d.lit(`{"Bytes":`)
+	g.Bytes = d.int64()
+	d.lit(`,"SignalAt":`)
+	g.SignalAt = sim.Time(d.int64())
+	d.lit(`,"CommEnd":`)
+	g.CommEnd = sim.Time(d.int64())
+	d.lit("}")
+	return g
+}
+
+// plan reads a plan's definition and rebuilds it with gemm.RebuildPlan, as
+// gemm.Plan.UnmarshalJSON does.
+func (d *reader) plan() *gemm.Plan {
 	var def gemm.Plan
-	d.members(
-		member{"Shape", func() {
-			d.members(
-				member{"M", func() { integer(d, &def.Shape.M) }},
-				member{"N", func() { integer(d, &def.Shape.N) }},
-				member{"K", func() { integer(d, &def.Shape.K) }},
-			)
-		}},
-		member{"Cfg", func() {
-			d.members(
-				member{"TileM", func() { integer(d, &def.Cfg.TileM) }},
-				member{"TileN", func() { integer(d, &def.Cfg.TileN) }},
-				member{"Swizzle", func() { integer(d, &def.Cfg.Swizzle) }},
-			)
-		}},
-		member{"RowTiles", func() { integer(d, &def.RowTiles) }},
-		member{"ColTiles", func() { integer(d, &def.ColTiles) }},
-		member{"Tiles", func() { integer(d, &def.Tiles) }},
-	)
+	d.lit(`{"Shape":{"M":`)
+	def.Shape.M = d.int()
+	d.lit(`,"N":`)
+	def.Shape.N = d.int()
+	d.lit(`,"K":`)
+	def.Shape.K = d.int()
+	d.lit(`},"Cfg":{"TileM":`)
+	def.Cfg.TileM = d.int()
+	d.lit(`,"TileN":`)
+	def.Cfg.TileN = d.int()
+	d.lit(`,"Swizzle":`)
+	def.Cfg.Swizzle = d.int()
+	d.lit(`},"RowTiles":`)
+	def.RowTiles = d.int()
+	d.lit(`,"ColTiles":`)
+	def.ColTiles = d.int()
+	d.lit(`,"Tiles":`)
+	def.Tiles = d.int()
+	d.lit("}")
 	if d.err != nil {
-		return
+		return nil
 	}
-	q, err := gemm.RebuildPlan(def)
+	p, err := gemm.RebuildPlan(def)
 	if err != nil {
 		d.fail("%v", err)
-		return
 	}
-	if *p == nil {
-		*p = q
-	} else {
-		**p = *q
-	}
+	return p
 }

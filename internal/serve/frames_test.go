@@ -11,12 +11,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/gemm"
+	"repro/internal/gpu"
 	"repro/internal/hw"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 var (
@@ -96,7 +99,8 @@ func buildRealFrames() ([][]byte, error) {
 }
 
 // decodeCases are hand-written lines for the corners of encoding/json's
-// semantics a real stream never shows.
+// semantics a real stream never shows, and for broken grammar. None is a
+// canonical line, so DecodeSweepFrame rejects every one.
 var decodeCases = []string{
 	// Escapes, surrogate pairs, lone surrogates, invalid UTF-8.
 	`{"frame":"result","result":{"shape":"Mé😀𐀀x\ud800","primitive":"A\"R\\/\b\f\n\r\t\u0000"}}`,
@@ -129,38 +133,234 @@ var decodeCases = []string{
 	// Grammar.
 	``, ` `, `{`, `{"frame":"done"} {"frame":"done"}`, `{"frame":"done",}`, `{"frame" "done"}`, `{'frame':1}`,
 	"{\"frame\":\"do\ne\"}", `{"frame":"\x"}`, `{"frame":"\u12"}`, `{"index":01}`, `{"index":-}`, `{"index":1.}`,
-	`{"x":tru}`, `{"x":nul}`, `{"frame":"done"}` + "\n", "\t{\"frame\":\"done\"}\r\n", "{\"frame\":\"done\"}\x00",
+	`{"x":tru}`, `{"x":nul}`, "\t{\"frame\":\"done\"}\r\n", "{\"frame\":\"done\"}\x00",
 }
 
-// deepLine nests n arrays in an unknown key of a done frame.
-func deepLine(n int) string {
-	return `{"frame":"done","x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`
+// lineEndCases are canonical lines but for the line's end.
+var lineEndCases = []string{
+	`{"frame":"done","count":2}`, "{\"frame\":\"done\",\"count\":2}\n\n", "{\"frame\":\"done\",\"count\":2} \n", "{\"frame\":\"done\",\"count\":2}\r\n",
 }
 
-// FuzzDecodeSweepFrame holds DecodeSweepFrame to encoding/json: on any line
-// it never panics, it accepts exactly the lines json.Unmarshal accepts, and
-// the frame it decodes is reflect.DeepEqual to json.Unmarshal's.
+// FuzzDecodeSweepFrame holds DecodeSweepFrame to the canonical-line
+// contract. On any line it never panics. A line it accepts is the line
+// appendFrame writes for the frame it decoded (for a router line, for the
+// routed frame json.Unmarshal decodes), and json.Unmarshal decodes it to
+// the same frame. The permissive corners in decodeCases seed it as lines
+// it must now reject.
 func FuzzDecodeSweepFrame(f *testing.F) {
 	for _, line := range realFrames(f) {
 		f.Add(line)
 	}
-	for _, line := range decodeCases {
+	for _, line := range append(decodeCases, lineEndCases...) {
 		f.Add([]byte(line))
 	}
-	f.Add([]byte(deepLine(9999)))  // 10000 levels with the frame: accepted
-	f.Add([]byte(deepLine(10000))) // one too many
 	f.Fuzz(func(t *testing.T, line []byte) {
-		var got, want serve.SweepFrame
-		err := serve.DecodeSweepFrame(line, &got)
-		jerr := json.Unmarshal(line, &want)
-		if (err == nil) != (jerr == nil) {
-			t.Fatalf("%q: DecodeSweepFrame error %v, json.Unmarshal error %v", line, err, jerr)
+		var got serve.SweepFrame
+		if serve.DecodeSweepFrame(line, &got) != nil {
+			return
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		var want serve.SweepFrame
+		if err := json.Unmarshal(line, &want); err != nil || !reflect.DeepEqual(got, want) {
 			g, _ := json.Marshal(got)
 			w, _ := json.Marshal(want)
-			t.Fatalf("%q decodes to\n%s\njson.Unmarshal gives\n%s", line, g, w)
+			t.Fatalf("%q decodes to\n%s\njson.Unmarshal gives (error %v)\n%s", line, g, err, w)
 		}
+		if sameLine(line, serve.AppendFrame(nil, got)) {
+			return
+		}
+		var routed serve.Frame[shard.SweepResult]
+		if err := json.Unmarshal(line, &routed); err != nil || !sameLine(line, serve.AppendFrame(nil, routed)) {
+			t.Fatalf("accepted %q, which appendFrame writes as neither\n%s\nnor, routed,\n%s", line, serve.AppendFrame(nil, got), serve.AppendFrame(nil, routed))
+		}
+	})
+}
+
+// invalidByte is the escape encoding/json writes for a byte of invalid
+// UTF-8; it decodes to U+FFFD.
+var invalidByte = func() []byte {
+	b, _ := json.Marshal("\xff")
+	return b[1 : len(b)-1]
+}()
+
+// sameLine reports whether line is canon, the line appendFrame writes for
+// line's decoded frame, except where line holds invalidByte and canon
+// U+FFFD: such a line is the one appendFrame writes for a string that held
+// a byte of invalid UTF-8.
+func sameLine(line, canon []byte) bool {
+	for len(line) > 0 && len(canon) > 0 {
+		if line[0] == canon[0] {
+			line, canon = line[1:], canon[1:]
+			continue
+		}
+		l, ok1 := bytes.CutPrefix(line, invalidByte)
+		c, ok2 := bytes.CutPrefix(canon, []byte(string(utf8.RuneError)))
+		if !ok1 || !ok2 {
+			return false
+		}
+		line, canon = l, c
+	}
+	return len(line) == len(canon)
+}
+
+// The lines the decoder before the canonical contract accepted as
+// json.Unmarshal does — case-folded, repeated and unknown keys, null on
+// any field, variant escapes and numbers — are rejected now, newline or
+// not, and so is a canonical line with any other end than one newline.
+func TestDecodeSweepFrameRejectsNonCanonicalLines(t *testing.T) {
+	lines := lineEndCases
+	for _, line := range decodeCases {
+		lines = append(lines, line, strings.TrimSuffix(line, "\n")+"\n")
+	}
+	for _, line := range lines {
+		var fr serve.SweepFrame
+		if err := serve.DecodeSweepFrame([]byte(line), &fr); err == nil {
+			t.Errorf("%q accepted", line)
+		}
+	}
+}
+
+// frameGen builds frames from fuzz bytes, reading past the end as zeros.
+type frameGen struct{ data []byte }
+
+func (g *frameGen) byte() byte {
+	if len(g.data) == 0 {
+		return 0
+	}
+	b := g.data[0]
+	g.data = g.data[1:]
+	return b
+}
+
+// int is zero, negative, small or large.
+func (g *frameGen) int() int {
+	switch b := g.byte(); b % 4 {
+	case 0:
+		return 0
+	case 1:
+		return -int(g.byte()) - 1
+	case 2:
+		return int(g.byte())
+	default:
+		return int(b)<<56 | int(g.byte())<<8 | int(g.byte())
+	}
+}
+
+// str takes up to 7 raw bytes: <>&, control bytes, invalid UTF-8, anything.
+func (g *frameGen) str() string {
+	n := min(int(g.byte()%8), len(g.data))
+	s := string(g.data[:n])
+	g.data = g.data[n:]
+	return s
+}
+
+// ints is nil, empty or up to three integers.
+func (g *frameGen) ints() []int {
+	switch n := g.byte() % 5; n {
+	case 0:
+		return nil
+	default:
+		s := make([]int, n-1)
+		for i := range s {
+			s[i] = g.int()
+		}
+		return s
+	}
+}
+
+func (g *frameGen) sweepResult() *serve.SweepResult {
+	r := &serve.SweepResult{
+		Shape: g.str(), Primitive: g.str(), Partition: g.ints(), Waves: g.int(),
+		Fidelity: g.str(), PredictedNs: int64(g.int()), Source: g.str(),
+	}
+	if g.byte()%4 == 0 {
+		return r
+	}
+	r.Result = &core.Result{
+		Partition: g.ints(), WaveSize: g.int(), Waves: g.int(),
+		Latency: sim.Time(g.int()), GEMMEnd: sim.Time(g.int()), Fidelity: core.Fidelity(g.str()),
+	}
+	if b := g.byte(); b%2 == 1 {
+		p, err := gemm.NewPlan(gemm.Shape{M: 128 << (b >> 5), N: 128 * int(1+g.byte()%8), K: 1 + g.int()&0xffff},
+			gemm.Config{TileM: 128, TileN: 128, Swizzle: g.int()})
+		if err != nil {
+			panic(err)
+		}
+		r.Result.Plan = p
+	}
+	if n := g.byte() % 5; n > 0 {
+		r.Result.Groups = make([]core.GroupTiming, n-1)
+		for i := range r.Result.Groups {
+			r.Result.Groups[i] = core.GroupTiming{Bytes: int64(g.int()), SignalAt: sim.Time(g.int()), CommEnd: sim.Time(g.int())}
+		}
+	}
+	for range g.byte() % 3 {
+		r.Result.Trace = append(r.Result.Trace, gpu.Span{Device: g.int(), Stream: g.str(), Name: g.str(), Start: sim.Time(g.int()), SMs: g.int()})
+	}
+	return r
+}
+
+func (g *frameGen) frame() serve.SweepFrame {
+	fr := serve.SweepFrame{Frame: g.str(), Index: g.int(), Fidelity: g.str()}
+	if g.byte()%2 == 1 {
+		fr.Result = g.sweepResult()
+	}
+	fr.Count, fr.Salvaged = g.int(), g.int()
+	if g.byte()%2 == 1 {
+		fr.Error = &serve.ErrorBody{Message: g.str(), Retryable: g.byte()%2 == 1}
+		if g.byte()%2 == 1 {
+			i := g.int()
+			fr.Error.Index = &i
+		}
+		if g.byte()%4 == 1 {
+			fr.Error.Results = []serve.SweepResult{*g.sweepResult()}
+		}
+	}
+	return fr
+}
+
+// checkAppendFrame holds appendFrame byte-identical to json.Marshal plus
+// the newline, and DecodeSweepFrame to reading the line back as
+// json.Unmarshal does.
+func checkAppendFrame[R any](t *testing.T, fr serve.Frame[R], line []byte) {
+	t.Helper()
+	want, err := json.Marshal(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(line, append(want, '\n')) {
+		t.Fatalf("appendFrame writes\n%s\njson.Marshal\n%s", line, want)
+	}
+	var got, back serve.SweepFrame
+	if err := serve.DecodeSweepFrame(line, &got); err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	if err := json.Unmarshal(line, &back); err != nil || !reflect.DeepEqual(got, back) {
+		t.Fatalf("%s decodes differently from json.Unmarshal (%v)", line, err)
+	}
+}
+
+// FuzzAppendFrame holds appendFrame to encoding/json on arbitrary frames
+// of both result types, a replica's and the router's: nil and empty
+// slices, a nil or a real plan, zero and negative integers, and strings
+// with <>&, control bytes and invalid UTF-8. Each line is json.Marshal's
+// bytes plus the newline, and DecodeSweepFrame reads it back to what
+// json.Unmarshal gives. A router result that lost its owner or replica
+// would differ from json.Marshal.
+func FuzzAppendFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("\x03res\x01\x05<a&b>\x04\x02\x07\x03\x01\x01\x02\x03\x01\x02\x03\x03\xff\xfe\x00\x01\x03\x01\x02\x07\x05\x02\x09\x03\x01\x02\x03\x02"))
+	for _, line := range realFrames(f) {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := &frameGen{data: data}
+		fr := g.frame()
+		checkAppendFrame(t, fr, serve.AppendFrame(nil, fr))
+		routed := serve.Frame[shard.SweepResult]{Frame: fr.Frame, Index: fr.Index, Fidelity: fr.Fidelity, Count: fr.Count, Salvaged: fr.Salvaged, Error: fr.Error}
+		if fr.Result != nil {
+			routed.Result = &shard.SweepResult{SweepResult: *fr.Result, Owner: g.int(), Replica: g.int()}
+		}
+		checkAppendFrame(t, routed, serve.AppendFrame(nil, routed))
 	})
 }
 
@@ -236,16 +436,15 @@ func unset(path string, got, want reflect.Value) []string {
 
 // Every exported field of every type a v2 frame carries — serve.Frame,
 // serve.SweepResult, core.Result, core.GroupTiming, gemm.Plan and its
-// Shape and Config, and what rides json.Unmarshal — survives the encoder
-// and DecodeSweepFrame. A field added to a type that crosses /sweep fails
-// here, by name, until the decoder reads it.
+// Shape and Config, and what rides encoding/json — survives appendFrame
+// and DecodeSweepFrame, and appendFrame writes json.Marshal's bytes for
+// a replica's frame and for the router's. A field added to a type that
+// crosses /sweep fails here, by name, until the codec writes and reads it.
 func TestDecodeSweepFrameSetsEveryField(t *testing.T) {
 	var want serve.SweepFrame
 	fill(t, reflect.ValueOf(&want).Elem())
-	line, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	line := serve.AppendFrame(nil, want)
+	checkAppendFrame(t, want, line)
 	var got serve.SweepFrame
 	if err := serve.DecodeSweepFrame(line, &got); err != nil {
 		t.Fatal(err)
@@ -253,11 +452,15 @@ func TestDecodeSweepFrameSetsEveryField(t *testing.T) {
 	for _, path := range unset("Frame", reflect.ValueOf(got), reflect.ValueOf(want)) {
 		t.Errorf("DecodeSweepFrame leaves %s unset or wrong", path)
 	}
+	var routed serve.Frame[shard.SweepResult]
+	fill(t, reflect.ValueOf(&routed).Elem())
+	checkAppendFrame(t, routed, serve.AppendFrame(nil, routed))
 }
 
 // BenchmarkDecodeSweepFrame times one real untraced result frame's
 // decode, by DecodeSweepFrame and by the json.Decoder over the whole stream
-// it replaces.
+// it replaces, and its encode, by appendFrame and by the json.Encoder it
+// replaces.
 func BenchmarkDecodeSweepFrame(b *testing.B) {
 	var lines [][]byte
 	for _, line := range realFrames(b) {
@@ -266,9 +469,16 @@ func BenchmarkDecodeSweepFrame(b *testing.B) {
 		}
 	}
 	stream := bytes.Join(lines, nil)
+	frames := make([]serve.SweepFrame, len(lines))
+	for i, line := range lines {
+		if err := json.Unmarshal(line, &frames[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perFrame := int64(len(stream) / len(lines))
 	b.Run("decoder=DecodeSweepFrame", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream) / len(lines)))
+		b.SetBytes(perFrame)
 		for i := 0; b.Loop(); i++ {
 			var fr serve.SweepFrame
 			if err := serve.DecodeSweepFrame(lines[i%len(lines)], &fr); err != nil {
@@ -278,7 +488,7 @@ func BenchmarkDecodeSweepFrame(b *testing.B) {
 	})
 	b.Run("decoder=json.Decoder", func(b *testing.B) {
 		b.ReportAllocs()
-		b.SetBytes(int64(len(stream) / len(lines)))
+		b.SetBytes(perFrame)
 		var dec *json.Decoder
 		for i := 0; b.Loop(); i++ {
 			if i%len(lines) == 0 {
@@ -286,6 +496,26 @@ func BenchmarkDecodeSweepFrame(b *testing.B) {
 			}
 			var fr serve.SweepFrame
 			if err := dec.Decode(&fr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encoder=appendFrame", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(perFrame)
+		var buf []byte
+		for i := 0; b.Loop(); i++ {
+			buf = serve.AppendFrame(buf[:0], frames[i%len(frames)])
+		}
+	})
+	b.Run("encoder=json.Encoder", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(perFrame)
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for i := 0; b.Loop(); i++ {
+			buf.Reset()
+			if err := enc.Encode(frames[i%len(frames)]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -278,11 +278,13 @@ func HandlerWithTimeout(s *Service, timeout time.Duration) http.Handler {
 
 // SweepStream writes one v2 /sweep reply, for a replica and for the router
 // alike: a result frame per result as it arrives, then one terminal frame.
-// The 200 is committed before the sweep runs, so a failure's classification
+// Each frame is one appendFrame line in a buffer the stream reuses. The
+// 200 is committed before the sweep runs, so a failure's classification
 // travels in the error frame's retryable bit, not in a status class.
 type SweepStream[R sweepResult] struct {
-	enc     *json.Encoder
+	w       http.ResponseWriter
 	flusher http.Flusher
+	buf     []byte
 	count   int
 }
 
@@ -291,12 +293,18 @@ func NewSweepStream[R sweepResult](w http.ResponseWriter) *SweepStream[R] {
 	w.Header().Set("Content-Type", ContentTypeNDJSON)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	return &SweepStream[R]{enc: json.NewEncoder(w), flusher: flusher}
+	return &SweepStream[R]{w: w, flusher: flusher}
+}
+
+func (st *SweepStream[R]) write(fr Frame[R]) error {
+	st.buf = appendFrame(st.buf[:0], fr)
+	_, err := st.w.Write(st.buf)
+	return err
 }
 
 // Result writes and flushes one result frame: the sweep's sink.
 func (st *SweepStream[R]) Result(i int, res R) error {
-	if err := st.enc.Encode(Frame[R]{Frame: FrameResult, Index: i, Fidelity: res.frameFidelity(), Result: &res}); err != nil {
+	if err := st.write(Frame[R]{Frame: FrameResult, Index: i, Fidelity: res.frameFidelity(), Result: &res}); err != nil {
 		return err
 	}
 	if st.flusher != nil {
@@ -315,13 +323,13 @@ func (st *SweepStream[R]) Result(i int, res R) error {
 // reply, so a client reads both at once and can reuse its connection.
 func (st *SweepStream[R]) End(err error, reply func(error) (int, ErrorBody)) {
 	if err == nil {
-		_ = st.enc.Encode(Frame[R]{Frame: FrameDone, Count: st.count})
+		_ = st.write(Frame[R]{Frame: FrameDone, Count: st.count})
 		return
 	}
-	// A sink (write) failure means the client is gone — encoding the
+	// A sink (write) failure means the client is gone — writing the
 	// terminal frame then fails identically and harmlessly.
 	_, body := reply(err)
-	_ = st.enc.Encode(Frame[R]{Frame: FrameError, Salvaged: st.count, Error: &body})
+	_ = st.write(Frame[R]{Frame: FrameError, Salvaged: st.count, Error: &body})
 }
 
 // errorReply maps a Service error to its HTTP status and envelope body. A

@@ -153,13 +153,14 @@ func (s *Service) RestoreSnapshot(snap *Snapshot) (restored int, err error) {
 			return 0, fmt.Errorf("serve: snapshot holds duplicate state for primitive %v", p)
 		}
 		seen[p] = true
-		if len(block.Curve) == 0 {
-			return 0, fmt.Errorf("serve: snapshot primitive %v has no bandwidth curve", p)
+		curve, err := stats.MakeCurve(block.Curve)
+		if err != nil {
+			return 0, fmt.Errorf("serve: snapshot primitive %v bandwidth curve: %w", p, err)
 		}
 		if c := s.cfg.Curves[p]; c != nil && !curveEqual(c.Points(), block.Curve) {
 			return 0, fmt.Errorf("serve: snapshot primitive %v curve differs from the configured fleet curve", p)
 		}
-		tn := s.newTuner(p, stats.NewCurve(block.Curve))
+		tn := s.newTuner(p, curve)
 		entries := make([]tuner.CacheEntry, len(block.Entries))
 		for i, e := range block.Entries {
 			entries[i] = tuner.CacheEntry{

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/gemm"
@@ -439,4 +442,78 @@ func TestSaveSnapshotFileAtomic(t *testing.T) {
 	if _, err := testService(t).LoadSnapshotFile(path); err != nil {
 		t.Fatalf("re-saved snapshot does not load: %v", err)
 	}
+}
+
+// sealSnapshot wraps payload in a snapshot envelope whose checksum
+// matches, as SaveSnapshotFile writes one.
+func sealSnapshot(payload []byte) []byte {
+	return fmt.Appendf(nil, `{"magic":%q,"version":%d,"crc32":"%08x","payload":%s}`+"\n",
+		snapshotMagic, SnapshotVersion, crc32.ChecksumIEEE(payload), payload)
+}
+
+// FuzzLoadSnapshotFile feeds arbitrary bytes to LoadSnapshotFile: as the
+// whole file, or sealed in an envelope with a matching checksum, so that
+// they reach RestoreSnapshot. It never panics: it restores or rejects, and
+// a rejection changes nothing but snapshot_rejects. The seeds are a real
+// snapshot and one whose checksum-valid curve repeats an X sample, which
+// used to panic in stats.NewCurve and crash cmd/serve at boot.
+func FuzzLoadSnapshotFile(f *testing.F) {
+	src, err := New(Config{Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := src.Warm(context.Background(), []hw.Primitive{hw.AllReduce}, []gemm.Shape{{M: 2048, N: 8192, K: 4096}}, 0); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "snap.json")
+	if err := src.SaveSnapshotFile(path); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap := src.Snapshot()
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	curve := snap.Primitives[0].Curve
+	curve[1].X = curve[0].X
+	dup, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw, false)
+	f.Add(payload, true)
+	f.Add(dup, true)
+	f.Add(sealSnapshot(dup), false)
+	f.Fuzz(func(t *testing.T, data []byte, sealed bool) {
+		if sealed {
+			data = sealSnapshot(data)
+		}
+		path := filepath.Join(t.TempDir(), "snap.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		if _, err := s.LoadSnapshotFile(path); err == nil {
+			return
+		}
+		after := s.Stats()
+		if after.SnapshotRejects != before.SnapshotRejects+1 {
+			t.Fatalf("snapshot_rejects %d after a rejection, was %d", after.SnapshotRejects, before.SnapshotRejects)
+		}
+		after.SnapshotRejects = before.SnapshotRejects
+		if !reflect.DeepEqual(after, before) {
+			t.Fatalf("a rejected snapshot changed the service's stats:\n%+v\nwas\n%+v", after, before)
+		}
+		if got := s.Snapshot(); len(got.Primitives) != 0 {
+			t.Fatalf("a rejected snapshot installed state: %+v", got.Primitives)
+		}
+	})
 }

@@ -357,6 +357,7 @@ func indices(n int) []int {
 // (the coordinator's attributed result). It is what a v2 stream carries and
 // what the mixed policy ranks.
 type sweepResult interface {
+	AppendJSON(b []byte) []byte
 	frameFidelity() string
 	latency() sim.Time
 }

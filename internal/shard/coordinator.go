@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,6 +115,17 @@ type SweepResult struct {
 	serve.SweepResult
 	Owner   int `json:"owner"`
 	Replica int `json:"replica"`
+}
+
+// AppendJSON appends r's canonical JSON, the bytes json.Marshal writes for
+// it: the replica's result object with the attribution as its last
+// members. It replaces the promoted serve.SweepResult.AppendJSON, which
+// would drop the attribution.
+func (r SweepResult) AppendJSON(b []byte) []byte {
+	b = r.SweepResult.AppendJSON(b)
+	b = strconv.AppendInt(append(b[:len(b)-1], `,"owner":`...), int64(r.Owner), 10)
+	b = strconv.AppendInt(append(b, `,"replica":`...), int64(r.Replica), 10)
+	return append(b, '}')
 }
 
 // StreamSink consumes merged sweep results as their chunks complete. index

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -17,14 +16,16 @@ import (
 	"repro/internal/serve"
 )
 
-// A result frame whose execution result is missing or null is rejected
-// like a result frame without a result. A mixed sweep reads every analytic
-// result's latency to rank the grid; over such a stream it returns an error
-// instead of dereferencing a nil result, and its sink never sees one.
+// A result frame without a result object, or whose execution result is
+// null, is rejected like a result frame without a result. A mixed sweep
+// reads every analytic result's latency to rank the grid; over such a
+// stream it returns an error instead of dereferencing a nil result, and
+// its sink never sees one. The stub writes canonical lines, so the frame
+// grammar accepts them and the missing result is what is rejected.
 func TestMixedSweepRejectsResultFrameWithoutExecution(t *testing.T) {
-	for name, frame := range map[string]string{
-		"missing": `{"frame":"result","index":%d,"result":{"shape":"M512-N4096-K4096"}}`,
-		"null":    `{"frame":"result","index":%d,"result":{"shape":"M512-N4096-K4096","result":null}}`,
+	for name, result := range map[string]*serve.SweepResult{
+		"missing": nil,
+		"null":    {Shape: "M512-N4096-K4096"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			mux := http.NewServeMux()
@@ -35,10 +36,11 @@ func TestMixedSweepRejectsResultFrameWithoutExecution(t *testing.T) {
 					return
 				}
 				w.Header().Set("Content-Type", serve.ContentTypeNDJSON)
+				enc := json.NewEncoder(w)
 				for j := range req.Items {
-					fmt.Fprintf(w, frame+"\n", j)
+					enc.Encode(serve.SweepFrame{Frame: serve.FrameResult, Index: j, Result: result})
 				}
-				fmt.Fprintf(w, `{"frame":"done","count":%d}`+"\n", len(req.Items))
+				enc.Encode(serve.SweepFrame{Frame: serve.FrameDone, Count: len(req.Items)})
 			})
 			srv := httptest.NewServer(mux)
 			defer srv.Close()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -840,6 +841,52 @@ func TestHTTPClientDecodesWireErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzWireError runs HTTPClient.wireError over any reply status net/http
+// delivers (three digits) and any body. It never panics. A 4xx is a
+// *QueryError carrying its status. Any other status (a 5xx, in practice)
+// is a *serve.ChunkError with the item's index when the body's envelope
+// names one, and a *ReplyError carrying its status otherwise. The message
+// is never empty. The seeds are TestHTTPClientDecodesWireErrors's non-200
+// replies.
+func FuzzWireError(f *testing.F) {
+	f.Add(http.StatusInternalServerError, []byte(`{"error":{"message":"engine crashed mid-chunk","retryable":true,"index":2,"results":[{"shape":"2048x8192x4096","primitive":"AllReduce"},{"shape":"4096x8192x4096","primitive":"AllReduce"}]}}`))
+	f.Add(http.StatusUnprocessableEntity, []byte(`{"error":{"message":"bad shape","retryable":false}}`))
+	f.Add(http.StatusBadGateway, []byte(`<html>upstream down</html>`))
+	f.Fuzz(func(t *testing.T, status int, body []byte) {
+		status = 100 + ((status-100)%900+900)%900
+		resp := &http.Response{
+			StatusCode: status,
+			Status:     fmt.Sprintf("%d %s", status, http.StatusText(status)),
+			Body:       io.NopCloser(bytes.NewReader(body)),
+		}
+		err := (&HTTPClient{Base: "http://fuzz"}).wireError("/sweep", resp, nil)
+		if _, msg, ok := strings.Cut(err.Error(), "shard: http://fuzz/sweep: "); !ok || msg == "" {
+			t.Fatalf("status %d, body %q: error %q has no message", status, body, err)
+		}
+		var env serve.ErrorEnvelope
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&env) != nil {
+			env = serve.ErrorEnvelope{}
+		}
+		var qe *QueryError
+		var ce *serve.ChunkError
+		var re *ReplyError
+		switch idx := env.Error.Index; {
+		case status >= 400 && status < 500:
+			if !errors.As(err, &qe) || qe.Status != status {
+				t.Fatalf("status %d, body %q: %T %v, want a *QueryError with its status", status, body, err, err)
+			}
+		case idx != nil && *idx >= 0:
+			if !errors.As(err, &ce) || ce.Index != *idx || errors.As(err, &re) {
+				t.Fatalf("status %d, body %q: %T %v, want a *serve.ChunkError at index %d", status, body, err, err, *idx)
+			}
+		default:
+			if !errors.As(err, &re) || re.Status != status {
+				t.Fatalf("status %d, body %q: %T %v, want a *ReplyError with its status", status, body, err, err)
+			}
+		}
+	})
 }
 
 // The router's /sweep proxy must honor the forwarded chunk size and attempt

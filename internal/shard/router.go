@@ -95,11 +95,27 @@ func replicaAnswered(err error) bool {
 // -timeout flag does).
 const DefaultTimeout = 60 * time.Second
 
+// DefaultInflight is the number of concurrent requests a router's or a
+// coordinator's client keeps idle connections for (NewHTTPClient).
+const DefaultInflight = 64
+
 // defaultClient replaces http.DefaultClient as the fallback transport.
 // http.DefaultClient has no timeout, so a single unresponsive replica used
 // to hang Router.Query's failover loop — and every query behind it —
 // unboundedly.
-var defaultClient = &http.Client{Timeout: DefaultTimeout}
+var defaultClient = NewHTTPClient(DefaultTimeout, DefaultInflight)
+
+// NewHTTPClient returns the client a router, a coordinator or a load
+// replay talks to its peers with: each request times out after timeout,
+// and the idle pool keeps the connections of up to inflight concurrent
+// requests, to one host and in total. http.DefaultTransport keeps two per
+// host, so there every reply past the second in flight closed its
+// connection and a later request dialled a new one.
+func NewHTTPClient(timeout time.Duration, inflight int) *http.Client {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns, t.MaxIdleConnsPerHost = inflight, inflight
+	return &http.Client{Timeout: timeout, Transport: t}
+}
 
 // HTTPClient speaks the cmd/serve HTTP/JSON protocol against a base URL like
 // "http://10.0.0.7:8080". A nil HTTP field uses the package's bounded
@@ -272,11 +288,11 @@ var errMalformedReply = errors.New("malformed reply")
 // they arrive, a done frame completes the chunk, and an error frame ends
 // it through wireError. A result frame must carry its execution's result,
 // so no sink ever sees a nil *core.Result. A newline-terminated line that
-// breaks the grammar is a malformed reply. Bytes after the last newline
-// when the body ends are a truncated stream, a transport failure — unless
-// they decode as a frame. The reader stops at the terminal frame without
-// waiting for more, and sees the body's end when it arrives in the same
-// read, so the connection can serve the next chunk.
+// is not a canonical frame line is a malformed reply. Bytes after the last
+// newline when the body ends are a truncated stream, a transport failure.
+// The reader stops at the terminal frame without waiting for more, and
+// sees the body's end when it arrives in the same read, so the connection
+// can serve the next chunk.
 func (c *HTTPClient) sweepFrames(body io.Reader, sink serve.SweepSink) error {
 	br := bufio.NewReader(body)
 	var long []byte // a line longer than br's buffer, gathered

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -64,6 +66,69 @@ func testFleet(t *testing.T, n int) (*Router, []*httptest.Server, []*serve.Servi
 		t.Fatalf("router partitioner %+v, want %+v", r.Partitioner(), part)
 	}
 	return r, servers, services
+}
+
+// Concurrent routed queries keep their connections: callers put at most
+// that many requests in flight, and the package default client's idle
+// pool holds a connection for each. Once a first round has dialled them,
+// a second round of concurrent queries makes no replica accept more than
+// callers new connections (in practice none). On http.DefaultTransport,
+// which keeps two idle connections per host, each reply past the second
+// in flight closed its connection, and the replicas accepted one for
+// nearly every query of every round.
+func TestConcurrentRoutedQueriesReuseConnections(t *testing.T) {
+	const callers, perCaller = 8, 150
+	conns := make([]atomic.Int64, 2)
+	clients := make([]Client, len(conns))
+	for k := range clients {
+		a := Assignment{Index: k, Count: len(conns)}
+		svc, err := serve.New(serve.Config{
+			Plat: hw.RTX4090PCIe(), NGPUs: 2, CandidateLimit: 64, Owns: a.Owns, Shard: a.String(), Curves: sharedCurves(t),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewUnstartedServer(serve.Handler(svc))
+		srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				conns[k].Add(1)
+			}
+		}
+		srv.Start()
+		t.Cleanup(srv.Close)
+		clients[k] = &HTTPClient{Base: srv.URL}
+	}
+	r, err := NewRouter(clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := func() {
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range perCaller {
+					q := serve.Query{Shape: routerShapes[(c+i)%len(routerShapes)], Prim: hw.AllReduce}
+					if _, err := r.Query(context.Background(), q); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	round()
+	first := []int64{conns[0].Load(), conns[1].Load()}
+	round()
+	for k := range conns {
+		n := conns[k].Load() - first[k]
+		if n > callers {
+			t.Errorf("replica %d accepted %d new connections for %d concurrent callers (%d in the first round)", k, n, callers, first[k])
+		}
+		t.Logf("replica %d: %d connections in the first round, %d in the second", k, first[k], n)
+	}
 }
 
 var routerShapes = []gemm.Shape{

@@ -28,18 +28,28 @@ type Curve struct {
 // NewCurve builds a curve from points, sorting by X. It panics on fewer than
 // one point or duplicate X values, both of which indicate a profiling bug.
 func NewCurve(pts []Point) *Curve {
+	c, err := MakeCurve(pts)
+	if err != nil {
+		panic(err.Error())
+	}
+	return c
+}
+
+// MakeCurve is NewCurve for points read from outside the process, such as
+// a snapshot's: it returns as an error what NewCurve panics with.
+func MakeCurve(pts []Point) (*Curve, error) {
 	if len(pts) == 0 {
-		panic("stats: curve needs at least one point")
+		return nil, fmt.Errorf("stats: curve needs at least one point")
 	}
 	cp := make([]Point, len(pts))
 	copy(cp, pts)
 	sort.Slice(cp, func(i, j int) bool { return cp[i].X < cp[j].X })
 	for i := 1; i < len(cp); i++ {
 		if cp[i].X == cp[i-1].X {
-			panic(fmt.Sprintf("stats: duplicate curve sample at x=%v", cp[i].X))
+			return nil, fmt.Errorf("stats: duplicate curve sample at x=%v", cp[i].X)
 		}
 	}
-	return &Curve{pts: cp}
+	return &Curve{pts: cp}, nil
 }
 
 // Eval evaluates the curve at x with linear interpolation and boundary
