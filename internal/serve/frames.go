@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/gemm"
@@ -40,7 +41,9 @@ func appendFrame[R sweepResult](b []byte, fr Frame[R]) []byte {
 		b = appendInt(b, `,"salvaged":`, int64(fr.Salvaged))
 	}
 	if fr.Error != nil {
-		b = appendMarshal(append(b, `,"error":`...), fr.Error)
+		// By value, as appendString copies: no pointer of fr reaches the
+		// heap, so neither does the result fr.Result points to.
+		b = appendMarshal(append(b, `,"error":`...), *fr.Error)
 	}
 	return append(b, "}\n"...)
 }
@@ -127,11 +130,12 @@ func appendInts(b []byte, s []int) []byte {
 
 // appendString writes s raw when encoding/json would: printable ASCII
 // other than the quote, the backslash and the HTML-escaped <, > and &.
-// Any other string is encoding/json's to escape.
+// Any other string is encoding/json's to escape, as a copy: s itself never
+// reaches the heap, so neither does the frame whose field it is.
 func appendString(b []byte, s string) []byte {
 	for i := range len(s) {
 		if !plain(s[i]) {
-			return appendMarshal(b, s)
+			return appendMarshal(b, strings.Clone(s))
 		}
 	}
 	return append(append(append(b, '"'), s...), '"')

@@ -521,3 +521,46 @@ func BenchmarkDecodeSweepFrame(b *testing.B) {
 		}
 	})
 }
+
+// discardWriter is a ResponseWriter that drops the reply's bytes.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header       { return w.h }
+func (discardWriter) WriteHeader(int)             {}
+func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (discardWriter) Flush()                      {}
+
+// Writing a result frame allocates nothing once the stream's buffer holds
+// the longest frame, for a replica's result and for the router's
+// attributed one alike: the frame refers to the result without moving it
+// to the heap.
+func TestSweepStreamResultFramesAllocateNothing(t *testing.T) {
+	var results []serve.SweepResult
+	var routed []shard.SweepResult
+	for _, line := range realFrames(t) {
+		var fr serve.SweepFrame
+		if err := json.Unmarshal(line, &fr); err != nil {
+			t.Fatal(err)
+		}
+		if fr.Frame == serve.FrameResult && len(fr.Result.Result.Trace) == 0 {
+			results = append(results, *fr.Result)
+			routed = append(routed, shard.SweepResult{SweepResult: *fr.Result, Owner: len(routed) % 2, Replica: 1})
+		}
+	}
+	replica := serve.NewSweepStream[serve.SweepResult](discardWriter{h: http.Header{}})
+	router := serve.NewSweepStream[shard.SweepResult](discardWriter{h: http.Header{}})
+	for name, write := range map[string]func(i int) error{
+		"replica": func(i int) error { return replica.Result(i, results[i%len(results)]) },
+		"router":  func(i int) error { return router.Result(i, routed[i%len(routed)]) },
+	} {
+		for i := range results {
+			if err := write(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		if n := testing.AllocsPerRun(100, func() { _ = write(i); i++ }); n != 0 {
+			t.Errorf("%s: %v allocations per result frame, want 0", name, n)
+		}
+	}
+}

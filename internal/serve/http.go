@@ -302,15 +302,20 @@ func (st *SweepStream[R]) write(fr Frame[R]) error {
 	return err
 }
 
-// Result writes and flushes one result frame: the sweep's sink.
+// Result writes one result frame: the sweep's sink. Only the first result
+// frame is flushed, so a client sees the reply start at once. Later frames
+// go to net/http's response buffer and reach the socket as it fills, and
+// the rest with the end of the reply: a write per few kilobytes instead of
+// one per frame. No consumer in this repository acts on a frame before its
+// chunk ends (the coordinator releases a chunk's results when its dispatch
+// returns), so holding frames costs it nothing. A replica that dies
+// mid-chunk loses what net/http still holds, a few frames, and failover
+// re-executes them with the rest of the chunk.
 func (st *SweepStream[R]) Result(i int, res R) error {
 	if err := st.write(Frame[R]{Frame: FrameResult, Index: i, Fidelity: res.frameFidelity(), Result: &res}); err != nil {
 		return err
 	}
-	if st.flusher != nil {
-		// Per-frame flush is the bounded-memory contract: a frame
-		// buffered server-side is a frame the consumer cannot release
-		// yet.
+	if st.count == 0 && st.flusher != nil {
 		st.flusher.Flush()
 	}
 	st.count++

@@ -1,15 +1,19 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/hw"
 )
@@ -347,4 +351,107 @@ func TestResultFrameCarriesMeasurementsOnly(t *testing.T) {
 			t.Fatalf("group %d carries %d keys, want exactly Bytes, SignalAt and CommEnd: %s", g, len(gt), res["Groups"])
 		}
 	}
+}
+
+// The first result frame leaves at once: the client reads it while the
+// chunk's next item is still stalled in its tune, with no later frame and
+// no end of reply to push it out of net/http's buffer.
+func TestSweepStreamFlushesFirstResultFrame(t *testing.T) {
+	s := testService(t)
+	var tunes atomic.Int64
+	release := make(chan struct{})
+	s.tuneHook = func() error {
+		if tunes.Add(1) == 2 {
+			<-release
+		}
+		return nil
+	}
+	srv := httptest.NewServer(Handler(s))
+	defer srv.Close()
+
+	// Were the first frame held back, nothing would reach the client
+	// until the stall ended; the timer ends it, so the test fails instead
+	// of hanging.
+	stall := time.AfterFunc(10*time.Second, func() { close(release) })
+	items := []SweepItem{
+		{M: 2048, N: 8192, K: 4096, Prim: "AR"},
+		{M: 4096, N: 8192, K: 8192, Prim: "AR"}, // its tune stalls
+	}
+	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{SweepSpec: SweepSpec{Tune: true}, Items: items})
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	line, err := br.ReadBytes('\n')
+	if !stall.Stop() {
+		t.Fatal("the first result frame reached the client only after the stall ended")
+	}
+	close(release)
+	var fr SweepFrame
+	if err != nil || DecodeSweepFrame(line, &fr) != nil || fr.Frame != FrameResult || fr.Index != 0 {
+		t.Fatalf("first line %q (%v), want item 0's result frame", line, err)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(rest, []byte("\n")); n != 2 || !bytes.HasPrefix(rest, []byte(`{"frame":"result","index":1,`)) {
+		t.Fatalf("after the first frame: %q, want item 1's result frame and the done frame", rest)
+	}
+}
+
+// writeCounter counts the writes to the connections its listener accepts,
+// and the bytes they carry.
+type writeCounter struct {
+	net.Listener
+	writes, bytes atomic.Int64
+}
+
+func (l *writeCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{Conn: c, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l *writeCounter
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	c.l.bytes.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// A 64-frame chunk reply leaves in a few socket writes, not one per frame.
+// Only the first frame is flushed on its own; the rest leave as net/http's
+// buffers fill, and with the end of the reply. Every write but the first
+// and the last then carries at least the 2 KB of net/http's response
+// buffer.
+func TestSweepStreamBatchesFrameWrites(t *testing.T) {
+	s := testService(t)
+	counter := &writeCounter{}
+	srv := httptest.NewUnstartedServer(Handler(s))
+	counter.Listener = srv.Listener
+	srv.Listener = counter
+	srv.Start()
+	defer srv.Close()
+
+	var items []SweepItem
+	for _, m := range []int{512, 1024, 2048, 3072, 4096, 6144, 8192, 16384} {
+		for _, k := range []int{1024, 2048, 3072, 4096, 6144, 8192, 12288, 16384} {
+			items = append(items, SweepItem{M: m, N: 8192, K: k, Prim: "AR", Fidelity: FidelityAnalytic})
+		}
+	}
+	resp := postSweepAccept(t, srv.URL, ContentTypeNDJSON, SweepRequest{Items: items})
+	frames := decodeFrames(t, resp)
+	if len(frames) != len(items)+1 || frames[len(items)].Frame != FrameDone {
+		t.Fatalf("%d frames, want %d results and done", len(frames), len(items))
+	}
+	writes, sent := counter.writes.Load(), counter.bytes.Load()
+	if limit := 2 + sent/2048; writes > limit {
+		t.Fatalf("%d frames left in %d writes of %d bytes, want at most %d", len(frames), writes, sent, limit)
+	}
+	t.Logf("%d frames left in %d writes of %d bytes", len(frames), writes, sent)
 }

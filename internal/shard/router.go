@@ -249,12 +249,13 @@ func (c *HTTPClient) Query(ctx context.Context, q serve.Query) (serve.Answer, er
 
 // Sweep posts one sweep chunk to the replica's /sweep endpoint, negotiating
 // the v2 NDJSON stream (Accept: application/x-ndjson) and feeding each
-// result frame into sink as it arrives — the replica's completed items
-// reach the coordinator even when the replica dies mid-chunk. Every replica
-// and router in this repository answers that negotiation with v2, so a 200
-// reply is always read as a frame stream; a buffered v1 body fails as a
-// malformed reply. A non-200 reply (the request was rejected before
-// executing) and an error frame both decode through wireError.
+// result frame into sink as it arrives — the items whose frames left the
+// replica reach the coordinator even when the replica dies mid-chunk.
+// Every replica and router in this repository answers that negotiation
+// with v2, so a 200 reply is always read as a frame stream; a buffered v1
+// body fails as a malformed reply. A non-200 reply (the request was
+// rejected before executing) and an error frame both decode through
+// wireError.
 func (c *HTTPClient) Sweep(ctx context.Context, req serve.SweepRequest, sink serve.SweepSink) error {
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -838,14 +839,16 @@ func (r *Router) HandlerWithTimeout(timeout time.Duration) http.Handler {
 		// Honor the caller's forwarded spec: a sweep driver pointed at
 		// this router as a one-replica fleet chose its own chunk size and
 		// attempt budget, and silently resetting them to defaults here
-		// would change how much work one crash re-executes. The attempt
-		// budget is remote-supplied, so it is clamped to twice the fleet
-		// size: budgets beyond the fleet wait out health cooldowns
-		// between ring wraps, and an absurd value would wedge this
-		// handler goroutine for the cooldown-wait loop's duration. The
-		// health windows (HealthCooldown, ProbeInterval) are fleet-owned
-		// and never ride the wire — json:"-" on the spec — so a remote
-		// caller cannot re-tune this router's failure detector.
+		// would change what they bound: round trips per item, how finely
+		// idle replicas take work (see DefaultChunkSize), and how many
+		// replicas one chunk may try. The attempt budget is
+		// remote-supplied, so it is clamped to twice the fleet size:
+		// budgets beyond the fleet wait out health cooldowns between ring
+		// wraps, and an absurd value would wedge this handler goroutine
+		// for the cooldown-wait loop's duration. The health windows
+		// (HealthCooldown, ProbeInterval) are fleet-owned and never ride
+		// the wire — json:"-" on the spec — so a remote caller cannot
+		// re-tune this router's failure detector.
 		co := NewCoordinator(r)
 		co.Spec = sr.SweepSpec
 		co.Spec.Attempts = min(sr.Attempts, 2*len(r.clients))
